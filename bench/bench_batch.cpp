@@ -27,6 +27,16 @@ using driver::DriverOptions;
 using driver::JobSpec;
 using driver::VerificationDriver;
 
+/// The committed BENCH_batch.json was measured on the enum reference
+/// backend; pinning it keeps a rerun comparable to that baseline.
+constexpr solver::BackendKind kBackend = solver::BackendKind::Enum;
+
+DriverOptions bench_options() {
+    DriverOptions opts;
+    opts.check.solver.backend = kBackend;
+    return opts;
+}
+
 std::vector<JobSpec> corpus() {
     std::vector<JobSpec> jobs;
     std::string error;
@@ -43,7 +53,7 @@ std::vector<JobSpec> corpus() {
 
 BatchReport run_once(const std::vector<JobSpec>& jobs, size_t workers,
                      bool cache, VerificationDriver* reuse = nullptr) {
-    DriverOptions opts;
+    DriverOptions opts = bench_options();
     opts.jobs = workers;
     opts.use_cache = cache;
     if (reuse)
@@ -85,10 +95,11 @@ void print_table() {
     w.kv("bench", "batch");
     w.kv("jobs", jobs.size());
     w.kv("hardware_concurrency", uint64_t{hw});
+    w.kv("backend", solver::backend_id(kBackend));
     w.key("rows");
     w.begin_array();
     for (const auto& row : rows) {
-        DriverOptions opts;
+        DriverOptions opts = bench_options();
         opts.jobs = row.workers;
         opts.use_cache = row.cache;
         VerificationDriver drv(opts);
@@ -159,8 +170,7 @@ BENCHMARK(bm_batch_parallel_coldcache)
 
 void bm_batch_warmcache(benchmark::State& state) {
     auto jobs = corpus();
-    DriverOptions opts;
-    VerificationDriver drv(opts);
+    VerificationDriver drv(bench_options());
     (void)drv.run(jobs); // warm up
     for (auto _ : state) {
         auto report = drv.run(jobs);

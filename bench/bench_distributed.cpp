@@ -47,6 +47,10 @@ using driver::BatchReport;
 using driver::JobSpec;
 
 constexpr size_t kJobs = 15;
+/// The committed BENCH_distributed.json was measured on the enum
+/// reference backend; pinning it keeps a rerun comparable to that
+/// baseline. Workers take the backend from each lease.
+constexpr solver::BackendKind kBackend = solver::BackendKind::Enum;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
@@ -104,6 +108,7 @@ FleetRun run_fleet(const std::vector<JobSpec>& jobs, size_t workers,
     CoordinatorOptions copts;
     copts.socket_path = bench_socket(tag);
     copts.store_dir = store_dir;
+    copts.check.solver.backend = kBackend;
     Coordinator coord(copts, jobs);
     std::string error;
     if (!coord.start(error))
@@ -165,6 +170,7 @@ void print_table() {
     // cache enabled (its default) — the exact `svlc batch --jobs 1` path.
     driver::DriverOptions dopts;
     dopts.jobs = 1;
+    dopts.check.solver.backend = kBackend;
     Clock::time_point t0 = Clock::now();
     BatchReport solo = driver::VerificationDriver(dopts).run(jobs);
     double solo_ms = ms_between(t0, Clock::now());
@@ -181,6 +187,7 @@ void print_table() {
     w.kv("bench", "distributed");
     w.kv("jobs", jobs.size());
     w.kv("hardware_concurrency", uint64_t{hw});
+    w.kv("backend", solver::backend_id(kBackend));
     w.kv("baseline_batch_ms", solo_ms, 3);
     w.key("fleet");
     w.begin_array();
@@ -220,6 +227,7 @@ void print_table() {
     // merged store must skip every job via fingerprint.
     driver::DriverOptions warm_opts;
     warm_opts.jobs = 1;
+    warm_opts.check.solver.backend = kBackend;
     warm_opts.store_dir = merged_store;
     t0 = Clock::now();
     BatchReport warm = driver::VerificationDriver(warm_opts).run(jobs);

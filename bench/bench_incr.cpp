@@ -35,6 +35,16 @@ using driver::VerificationDriver;
 
 namespace fs = std::filesystem;
 
+/// The committed BENCH_incr.json was measured on the enum reference
+/// backend; pinning it keeps a rerun comparable to that baseline.
+constexpr solver::BackendKind kBackend = solver::BackendKind::Enum;
+
+DriverOptions bench_options() {
+    DriverOptions opts;
+    opts.check.solver.backend = kBackend;
+    return opts;
+}
+
 std::vector<JobSpec> corpus() {
     std::vector<JobSpec> jobs;
     std::string error;
@@ -68,7 +78,7 @@ void print_table() {
     std::printf("corpus: %zu job(s); store: %s\n\n", jobs.size(),
                 store.string().c_str());
 
-    DriverOptions plain;
+    DriverOptions plain = bench_options();
     plain.jobs = 1;
 
     // cold: no persistence at all.
@@ -112,7 +122,7 @@ void print_table() {
     std::error_code eec;
     fs::remove_all(estore, eec);
 
-    DriverOptions eopts;
+    DriverOptions eopts = bench_options();
     eopts.jobs = 1;
     eopts.store_dir = estore.string();
 
@@ -172,6 +182,7 @@ void print_table() {
     w.kv("schema", "svlc-bench-incr/v2");
     w.kv("bench", "incr");
     w.kv("jobs", jobs.size());
+    w.kv("backend", solver::backend_id(kBackend));
     w.kv("cold_ms", cold.wall_ms, 3);
     w.kv("cache_warm_ms", cache_warm.wall_ms, 3);
     w.kv("fingerprint_warm_ms", fp_warm.wall_ms, 3);
@@ -206,7 +217,7 @@ void print_table() {
 void bm_incr_fingerprint_warm(benchmark::State& state) {
     auto jobs = corpus();
     fs::path store = fresh_store_dir();
-    DriverOptions opts;
+    DriverOptions opts = bench_options();
     opts.store_dir = store.string();
     (void)VerificationDriver(opts).run(jobs); // populate
     for (auto _ : state) {
@@ -222,7 +233,7 @@ BENCHMARK(bm_incr_fingerprint_warm)->Unit(benchmark::kMillisecond);
 void bm_incr_entail_load(benchmark::State& state) {
     auto jobs = corpus();
     fs::path store = fresh_store_dir();
-    DriverOptions opts;
+    DriverOptions opts = bench_options();
     opts.store_dir = store.string();
     (void)VerificationDriver(opts).run(jobs); // populate entail.cache
     incr::StoreOptions sopts;
@@ -245,7 +256,7 @@ void bm_incr_guard_edit(benchmark::State& state) {
     fs::path store = fs::temp_directory_path() / "svlc_bench_incr_bm_edit";
     std::error_code ec;
     fs::remove_all(store, ec);
-    DriverOptions opts;
+    DriverOptions opts = bench_options();
     opts.jobs = 1;
     opts.store_dir = store.string();
     (void)VerificationDriver(opts).run({labeled}); // populate

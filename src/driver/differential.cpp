@@ -1,9 +1,9 @@
-// Backend differential harness: the self-check behind the pluggable
-// solver. Every entailment backend must produce verification verdicts
-// identical to the enum reference on every design — status,
-// per-obligation records, witnesses, everything in the stable report
-// subset. `svlc diff-backends` and CI run this three-way (enum vs prune
-// vs cdcl) over the whole corpus; any diff fails the build.
+// Backend differential harness: the self-check behind the production
+// solver. The cdcl backend must produce verification verdicts identical
+// to the enum reference on every design — status, per-obligation
+// records, witnesses, everything in the stable report subset.
+// `svlc diff-backends` and CI run this (enum vs cdcl) over the whole
+// corpus; any diff fails the build.
 #include "driver/driver.hpp"
 
 #include <string>
@@ -72,17 +72,15 @@ std::vector<BackendDiff> diff_backends(const std::vector<JobSpec>& jobs,
     VerificationDriver enum_driver(opts);
     BatchReport enum_report = enum_driver.run(jobs);
 
+    opts.check.solver.backend = solver::BackendKind::Cdcl;
+    VerificationDriver cdcl_driver(opts);
+    BatchReport cdcl_report = cdcl_driver.run(jobs);
+
     std::vector<BackendDiff> diffs;
-    for (solver::BackendKind kind :
-         {solver::BackendKind::Prune, solver::BackendKind::Cdcl}) {
-        opts.check.solver.backend = kind;
-        VerificationDriver other_driver(opts);
-        BatchReport other_report = other_driver.run(jobs);
-        const std::string backend = solver::backend_id(kind);
-        for (size_t i = 0; i < jobs.size(); ++i)
-            diff_job(enum_report.results[i], other_report.results[i], backend,
-                     diffs);
-    }
+    const std::string backend = solver::backend_id(solver::BackendKind::Cdcl);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        diff_job(enum_report.results[i], cdcl_report.results[i], backend,
+                 diffs);
     return diffs;
 }
 

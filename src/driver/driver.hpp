@@ -113,7 +113,8 @@ struct BatchReport {
     bool store_enabled = false;
     size_t workers = 1;
     uint64_t timeout_ms = 0;
-    /// Entailment backend id ("enum"/"prune") the batch ran with.
+    /// Entailment backend id ("cdcl", or "enum" for the reference) the
+    /// batch ran with.
     std::string solver_backend;
     double wall_ms = 0.0;
 
@@ -207,7 +208,7 @@ private:
 
 // --- backend differential harness ------------------------------------------
 
-/// One disagreement between the enum and prune entailment backends. Any
+/// One disagreement between the enum and cdcl entailment backends. Any
 /// instance is a backend-contract violation: the backends are required to
 /// be verdict- and witness-equivalent.
 struct BackendDiff {
@@ -215,16 +216,16 @@ struct BackendDiff {
     /// What diverged: "status", "obligations", "failed", or a stable
     /// obligation id (for per-obligation record mismatches).
     std::string field;
-    /// The backend that disagreed with the reference ("prune", "cdcl").
+    /// The backend that disagreed with the reference ("cdcl").
     std::string backend;
     /// Reference (enum) value vs the disagreeing backend's value.
     std::string enum_value;
     std::string other_value;
 };
 
-/// Runs every job once per entailment backend — each run with its own
-/// driver and cache, no persistent store — and returns every disagreement
-/// with the enum reference (empty = contract holds for every backend).
+/// Runs every job once on the enum reference and once on cdcl — each run
+/// with its own driver and cache, no persistent store — and returns every
+/// disagreement (empty = the backend contract holds).
 /// `base` supplies checker budgets and worker count; its backend and
 /// store settings are overridden.
 std::vector<BackendDiff> diff_backends(const std::vector<JobSpec>& jobs,

@@ -60,8 +60,8 @@ void put_solver_stats(JsonWriter& w,
     w.kv("cache_misses", s.cache_misses);
     w.kv("enumerations", s.enumerations);
     w.kv("candidates", s.total_candidates);
-    // CDCL search telemetry; identically zero for the enum and prune
-    // backends, which enumerate instead of deciding/propagating.
+    // CDCL search telemetry; identically zero for the enum reference,
+    // which enumerates instead of deciding/propagating.
     w.kv("conflicts", s.conflicts);
     w.kv("propagations", s.propagations);
     w.kv("learned_clauses", s.learned_clauses);

@@ -10,7 +10,7 @@ std::string check_options_fingerprint(const check::CheckOptions& opts) {
     char buf[144];
     // The backend id is part of the fingerprint: backends are
     // verdict-equivalent by contract, but cached verdicts must never
-    // cross backends, so switching --solver re-verifies.
+    // cross backends, so a run on the enum reference re-verifies.
     std::snprintf(buf, sizeof buf, "m%d,h%d|o:%u,%llu,%zu,%d,%d%d%d|b:%s",
                   static_cast<int>(opts.mode), opts.hold_obligations,
                   opts.solver.max_enum_width,

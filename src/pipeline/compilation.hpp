@@ -2,8 +2,8 @@
 // well-formedness → typecheck sequence lives. The CLI, the batch driver,
 // the benchmarks, and the examples all run designs through this facade
 // instead of hand-rolling the phase plumbing, and CompilationOptions is
-// the single point where a solver backend is selected (--solver=enum|prune
-// on the CLI).
+// the single point where a solver backend is selected (cdcl by default;
+// the enum reference only in differential tests).
 //
 // Usage:
 //   pipeline::Compilation comp(opts);

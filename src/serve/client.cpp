@@ -1,6 +1,5 @@
 #include "serve/client.hpp"
 
-#include "solver/entail.hpp"
 #include "support/fsutil.hpp"
 
 namespace svlc::serve {
@@ -67,7 +66,6 @@ bool remote_check(const std::string& socket_path, const std::string& file,
                 JsonValue(copts.mode ==
                           check::CheckerMode::ClassicSecVerilog));
     options.set("no_hold", JsonValue(!copts.hold_obligations));
-    options.set("solver", JsonValue(solver::backend_id(copts.solver.backend)));
 
     JsonValue params = JsonValue::object();
     params.set("name", JsonValue(file));

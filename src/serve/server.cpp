@@ -378,15 +378,6 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
                              : check::CheckerMode::SecVerilogLC;
         if (const JsonValue* no_hold = o->find("no_hold"))
             copts.hold_obligations = !no_hold->bool_val();
-        if (const JsonValue* backend = o->find("solver")) {
-            auto kind = solver::parse_backend(backend->str());
-            if (!kind) {
-                err_code = kErrInvalidParams;
-                err_msg = "unknown solver backend '" + backend->str() + "'";
-                return false;
-            }
-            copts.solver.backend = *kind;
-        }
         timeout_ms = o->get_uint("timeout_ms");
     }
 

@@ -111,11 +111,4 @@ std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
                                 uint64_t values, uint64_t assigned,
                                 TermScratch& scratch);
 
-/// Map-mode evaluation (the bit-packing ablation): the same compiled
-/// program, but variable reads go through an Assignment like eval3's.
-std::optional<BitVec> eval_term_map(const TermProgram& p,
-                                    const BitLayout& layout,
-                                    const Assignment& asg,
-                                    TermScratch& scratch);
-
 } // namespace svlc::solver

@@ -170,13 +170,16 @@ TEST(Driver, TimeoutIsolation) {
     std::vector<JobSpec> jobs;
     JobSpec slow;
     ASSERT_TRUE(driver::builtin_job("labeled", slow));
-    slow.timeout_ms = 40; // the labeled CPU needs seconds, cold
+    slow.timeout_ms = 40; // the labeled CPU needs seconds, cold, on enum
     jobs.push_back(std::move(slow));
     jobs.push_back({"trivial", "", kTrivial, "", 0});
     jobs.push_back({"mode_switch", "", kModeSwitch, "", 0});
 
     DriverOptions opts;
     opts.jobs = 2;
+    // Pinned to the enum reference: cdcl can check the labeled CPU
+    // inside the budget, which would make the timeout a coin flip.
+    opts.check.solver.backend = solver::BackendKind::Enum;
     VerificationDriver drv(opts);
     BatchReport report = drv.run(jobs);
 

@@ -13,16 +13,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <string>
+
+#include <unistd.h>
 
 namespace svlc::fuzz {
 namespace {
 
 namespace fs = std::filesystem;
 
+/// Per-process, per-call temp path: the runner tests may execute
+/// concurrently (ctest -j), so fixed names would clobber each other.
+fs::path unique_temp(const char* tag) {
+    static std::atomic<int> counter{0};
+    return fs::temp_directory_path() /
+           ("svlc-fuzz-test-" + std::to_string(::getpid()) + "-" + tag +
+            "-" + std::to_string(counter++));
+}
+
 std::string capture_run(const FuzzOptions& opts, FuzzStats& stats) {
-    fs::path log = fs::temp_directory_path() / "svlc-fuzz-test.log";
+    fs::path log = unique_temp("log");
     std::FILE* out = std::fopen(log.string().c_str(), "w");
     EXPECT_NE(out, nullptr);
     stats = run_fuzz(opts, out);
@@ -210,7 +222,7 @@ TEST(FuzzReducer, InjectedIllegalFlowShrinksBelow15Lines) {
 }
 
 TEST(FuzzRunner, CampaignIsDeterministicAndWritesReports) {
-    fs::path corpus = fs::temp_directory_path() / "svlc-fuzz-test-corpus";
+    fs::path corpus = unique_temp("corpus");
     fs::remove_all(corpus);
 
     FuzzOptions opts;

@@ -1,17 +1,15 @@
 // svlc — the SecVerilogLC command-line driver.
 //
 //   svlc check <file.svlc> [--top M] [--classic] [--no-hold]
-//              [--solver enum|prune|cdcl] [--json out.json] [--stats]
-//              [--remote SOCKET] [--store DIR]
+//              [--json out.json] [--stats] [--remote SOCKET] [--store DIR]
 //   svlc serve --socket PATH [--store DIR] [--max-sessions N]
 //              [--idle-timeout SEC] [--timeout-ms T]
-//              [--classic] [--no-hold] [--solver enum|prune|cdcl]
+//              [--classic] [--no-hold]
 //   svlc client --socket PATH [--retry N] [--backoff MS]
 //              <method> [params-json]
 //   svlc coordinator --socket PATH <manifest|dir|file.svlc|builtin:V>
 //              [--cpus] [--store DIR] [--json F] [--timeout-ms T]
 //              [--lease-ms T] [--backoff-ms T] [--classic] [--no-hold]
-//              [--solver enum|prune|cdcl]
 //   svlc worker --connect PATH [--store DIR] [--name S] [--retry N]
 //              [--backoff MS]
 //   svlc emit-verilog <file.svlc> [--top M] [--compat]
@@ -26,7 +24,7 @@
 //   svlc dump-cpu <labeled|baseline|vulnerable|quad> [outfile]
 //   svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N] [--json F]
 //              [--timeout-ms T] [--no-cache] [--warm] [--cpus]
-//              [--store DIR] [--no-store] [--solver enum|prune|cdcl]
+//              [--store DIR] [--no-store]
 //   svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]
 //              [--interval-ms T] [--iterations N] [--jobs N] [--cpus]
 //   svlc diff-backends <manifest|dir|file.svlc|builtin:V> [--jobs N]
@@ -54,7 +52,6 @@
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
 #include "sim/vcd.hpp"
-#include "solver/entail.hpp"
 #include "support/diagnostics.hpp"
 #include "support/fsutil.hpp"
 #include "support/json.hpp"
@@ -81,28 +78,27 @@ int usage() {
     std::fprintf(stderr,
                  "usage:\n"
                  "  svlc check <file.svlc> [--top M] [--classic] [--no-hold]\n"
-                 "             [--solver enum|prune|cdcl] [--json out.json] [--stats]\n"
-                 "             [--remote SOCKET] [--store DIR]\n"
+                 "             [--json out.json] [--stats] [--remote SOCKET]\n"
+                 "             [--store DIR]\n"
                  "  svlc serve --socket PATH [--store DIR] [--max-sessions N]\n"
                  "             [--idle-timeout SEC] [--timeout-ms T]\n"
-                 "             [--classic] [--no-hold] [--solver enum|prune|cdcl]\n"
+                 "             [--classic] [--no-hold]\n"
                  "  svlc client --socket PATH [--retry N] [--backoff MS]\n"
                  "             <method> [params-json]\n"
                  "  svlc coordinator --socket PATH\n"
                  "             <manifest|dir|file.svlc|builtin:V> [--cpus]\n"
                  "             [--store DIR] [--json out.json] [--timeout-ms T]\n"
                  "             [--lease-ms T] [--backoff-ms T] [--classic]\n"
-                 "             [--no-hold] [--solver enum|prune|cdcl]\n"
+                 "             [--no-hold]\n"
                  "  svlc worker --connect PATH [--store DIR] [--name S]\n"
                  "             [--retry N] [--backoff MS]\n"
                  "  svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N]\n"
                  "             [--json out.json] [--timeout-ms T] [--no-cache]\n"
                  "             [--warm] [--cpus] [--classic] [--no-hold]\n"
-                 "             [--store DIR] [--no-store] [--solver enum|prune|cdcl]\n"
+                 "             [--store DIR] [--no-store]\n"
                  "  svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]\n"
                  "             [--interval-ms T] [--iterations N] [--jobs N]\n"
                  "             [--cpus] [--classic] [--no-hold]\n"
-                 "             [--solver enum|prune|cdcl]\n"
                  "  svlc diff-backends <manifest|dir|file.svlc|builtin:V>\n"
                  "             [--jobs N] [--cpus] [--classic] [--no-hold]\n"
                  "  svlc emit-verilog <file.svlc> [--top M] [--compat]\n"
@@ -141,8 +137,6 @@ struct Args {
     std::string outfile;
     // check --stats
     bool stats = false;
-    // check/batch/watch entailment backend (empty = engine default)
-    std::string solver;
     // batch
     uint64_t jobs = 0;
     std::string json_path;
@@ -229,16 +223,7 @@ bool parse_args(int argc, char** argv, Args& args) {
                 args.classic = true;
             else if (arg == "--no-hold")
                 args.no_hold = true;
-            else if (arg == "--solver" && (v = next())) {
-                if (!solver::parse_backend(v)) {
-                    std::fprintf(stderr,
-                                 "--solver: unknown backend '%s' (expected "
-                                 "enum, prune, or cdcl)\n",
-                                 v);
-                    return false;
-                }
-                args.solver = v;
-            } else {
+            else {
                 std::fprintf(stderr, "serve: unknown option '%s'\n",
                              arg.c_str());
                 return false;
@@ -304,16 +289,7 @@ bool parse_args(int argc, char** argv, Args& args) {
                 args.classic = true;
             else if (arg == "--no-hold")
                 args.no_hold = true;
-            else if (arg == "--solver" && (v = next())) {
-                if (!solver::parse_backend(v)) {
-                    std::fprintf(stderr,
-                                 "--solver: unknown backend '%s' (expected "
-                                 "enum, prune, or cdcl)\n",
-                                 v);
-                    return false;
-                }
-                args.solver = v;
-            } else if (arg.rfind("--", 0) != 0 && args.file.empty()) {
+            else if (arg.rfind("--", 0) != 0 && args.file.empty()) {
                 args.file = arg;
             } else {
                 std::fprintf(stderr, "coordinator: unknown option '%s'\n",
@@ -473,18 +449,6 @@ bool parse_args(int argc, char** argv, Args& args) {
             if (!v)
                 return false;
             args.retry_backoff_ms = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--solver") {
-            const char* v = next();
-            if (!v)
-                return false;
-            if (!solver::parse_backend(v)) {
-                std::fprintf(stderr,
-                             "--solver: unknown backend '%s' (expected "
-                             "enum, prune, or cdcl)\n",
-                             v);
-                return false;
-            }
-            args.solver = v;
         } else if (arg == "--jobs") {
             const char* v = next();
             if (!v)
@@ -611,15 +575,13 @@ net::RetryOptions retry_options(const Args& args) {
     return retry;
 }
 
-/// Checker configuration shared by check/batch/watch: mode, hold
-/// obligations, and the entailment backend.
+/// Checker configuration shared by check/batch/watch: mode and hold
+/// obligations.
 check::CheckOptions check_options(const Args& args) {
     check::CheckOptions opts;
     if (args.classic)
         opts.mode = check::CheckerMode::ClassicSecVerilog;
     opts.hold_obligations = !args.no_hold;
-    if (!args.solver.empty())
-        opts.solver.backend = *solver::parse_backend(args.solver);
     return opts;
 }
 
@@ -973,8 +935,8 @@ int cmd_diff(const Args& args) {
     opts.check = check_options(args);
     std::vector<driver::BackendDiff> diffs = driver::diff_backends(jobs, opts);
     if (diffs.empty()) {
-        std::printf("diff-backends: %zu job(s), enum, prune, and cdcl agree "
-                    "on every verdict\n",
+        std::printf("diff-backends: %zu job(s), enum and cdcl agree on "
+                    "every verdict\n",
                     jobs.size());
         return 0;
     }
