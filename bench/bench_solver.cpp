@@ -243,7 +243,7 @@ void bm_entailment_query(benchmark::State& state) {
     hir::ExprPtr guard = hir::Expr::make_binary(
         hir::BinaryOp::Eq, hir::Expr::make_net(mode, 1, false),
         hir::Expr::make_const(BitVec(1, 1)));
-    std::vector<const hir::Expr*> facts{guard.get()};
+    std::vector<sem::TermId> facts{eqs.terms.intern(*guard)};
     for (auto _ : state) {
         auto result = engine.check_flow(lhs, rhs, facts);
         benchmark::DoNotOptimize(result.status);

@@ -1,5 +1,7 @@
 #include "check/context.hpp"
 
+#include "sem/term_write.hpp"
+
 #include <cstdio>
 #include <unordered_map>
 
@@ -12,82 +14,15 @@ using solver::SolverLabel;
 namespace {
 
 // -----------------------------------------------------------------------
-// Shared serialization grammar. One expression writer, parameterized on
-// how net/function references are rendered:
+// Shared serialization grammar. Terms use sem::write_term; labels use the
+// writers below. Both are parameterized on how net/function references
+// are rendered:
 //   CanonRefs — dense first-occurrence indices (the canonical context)
-//   RawRefs   — elaboration ids verbatim (the within-run memo key)
 //   MarkRefs  — binary placeholders (the per-net section cache, rewritten
 //               to canonical indices on expansion)
-// All three produce the same surrounding literal bytes, so a cached
-// section expands to exactly what direct canonical serialization emits.
+// Both produce the same surrounding literal bytes, so a cached section
+// expands to exactly what direct canonical serialization emits.
 // -----------------------------------------------------------------------
-
-template <class Refs>
-void write_expr(std::string& out, const Expr& e, Refs& refs) {
-    char buf[48];
-    switch (e.kind) {
-    case ExprKind::Const:
-        std::snprintf(buf, sizeof buf, "#%u:%llx", e.width,
-                      static_cast<unsigned long long>(e.value.value()));
-        out += buf;
-        return;
-    case ExprKind::NetRef:
-        refs.net(out, e.net, e.primed);
-        return;
-    case ExprKind::ArrayRead:
-        out += "(idx ";
-        refs.net(out, e.net, e.primed);
-        out += ' ';
-        write_expr(out, *e.index, refs);
-        out += ')';
-        return;
-    case ExprKind::Slice:
-        std::snprintf(buf, sizeof buf, "(sl %u:%u ", e.msb, e.lsb);
-        out += buf;
-        write_expr(out, *e.a, refs);
-        out += ')';
-        return;
-    case ExprKind::Unary:
-        std::snprintf(buf, sizeof buf, "(u%d:%u ", static_cast<int>(e.un_op),
-                      e.width);
-        out += buf;
-        write_expr(out, *e.a, refs);
-        out += ')';
-        return;
-    case ExprKind::Binary:
-        std::snprintf(buf, sizeof buf, "(b%d:%u ", static_cast<int>(e.bin_op),
-                      e.width);
-        out += buf;
-        write_expr(out, *e.a, refs);
-        out += ' ';
-        write_expr(out, *e.b, refs);
-        out += ')';
-        return;
-    case ExprKind::Cond:
-        out += "(? ";
-        write_expr(out, *e.a, refs);
-        out += ' ';
-        write_expr(out, *e.b, refs);
-        out += ' ';
-        write_expr(out, *e.c, refs);
-        out += ')';
-        return;
-    case ExprKind::Concat:
-        out += "(cat";
-        for (const auto& p : e.parts) {
-            out += ' ';
-            write_expr(out, *p, refs);
-        }
-        out += ')';
-        return;
-    case ExprKind::Downgrade:
-        std::snprintf(buf, sizeof buf, "(dg%d ", static_cast<int>(e.dg_kind));
-        out += buf;
-        write_expr(out, *e.a, refs);
-        out += ')';
-        return;
-    }
-}
 
 template <class Refs>
 void write_solver_label(std::string& out, char tag, const SolverLabel& label,
@@ -134,20 +69,6 @@ void write_hir_label(std::string& out, const Label& label, Refs& refs) {
     out += ']';
 }
 
-/// Elaboration ids verbatim — only meaningful within one run.
-struct RawRefs {
-    void net(std::string& out, NetId n, bool primed) {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "n%u%s", n, primed ? "'" : "");
-        out += buf;
-    }
-    void func(std::string& out, FuncId f) {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "f%u", f);
-        out += buf;
-    }
-};
-
 /// Binary placeholders for the section cache: ids cannot be textual
 /// because canonical indices differ per obligation. The marker bytes can
 /// never collide with literal text — the grammar embeds no user-provided
@@ -180,9 +101,9 @@ uint32_t read_u32(const char* p) {
            static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
-/// Serializes one obligation into canonical bytes. The expression grammar
-/// mirrors solver::CacheKeyBuilder's (same operator/width tagging), but
-/// the surrounding sections differ: this key carries the lattice matrix,
+/// Serializes one obligation into canonical bytes. The term grammar is
+/// solver::CacheKeyBuilder's (both use sem::write_term), but the
+/// surrounding sections differ: this key carries the lattice matrix,
 /// the dependency slice's declarations/labels/equations, and the
 /// referenced function tables — everything a *persisted* verdict must be
 /// keyed by, where the in-process entail cache can lean on its
@@ -191,19 +112,19 @@ class ContextBuilder {
 public:
     ContextBuilder(const Design& design, const sem::Equations& eqs,
                    ContextCache* cache)
-        : design_(design), eqs_(eqs), cache_(cache) {
+        : design_(design), eqs_(eqs), terms_(eqs.terms), cache_(cache) {
         out_.reserve(1024);
     }
 
     ObligationContext build(const SolverLabel& lhs, const SolverLabel& rhs,
-                            const std::vector<const Expr*>& facts) {
+                            const std::vector<sem::TermId>& facts) {
         CanonRefs refs{this};
         put_lattice();
         write_solver_label(out_, 'L', lhs, refs);
         write_solver_label(out_, 'R', rhs, refs);
-        for (const Expr* f : facts) {
+        for (sem::TermId f : facts) {
             out_ += "F:";
-            write_expr(out_, *f, refs);
+            sem::write_term(out_, terms_, f, refs);
             out_ += '\n';
         }
         // Expand the roots referenced so far to their dependency closure.
@@ -308,8 +229,8 @@ private:
         out_ += buf;
         write_hir_label(out_, net.label, refs);
         out_ += ":E";
-        if (const Expr* def = eqs_.def(n))
-            write_expr(out_, *def, refs);
+        if (sem::TermId def = eqs_.def(n); def != sem::kNoTerm)
+            sem::write_term(out_, terms_, def, refs);
         else
             out_ += '-';
         out_ += '\n';
@@ -360,6 +281,7 @@ private:
 
     const Design& design_;
     const sem::Equations& eqs_;
+    const sem::TermTable& terms_;
     ContextCache* cache_;
     std::string out_;
     std::unordered_map<NetId, uint32_t> ids_;
@@ -386,8 +308,8 @@ const std::string& ContextCache::section(const hir::Design& design,
     MarkRefs marks;
     write_hir_label(out, net.label, marks);
     out += ":E";
-    if (const Expr* def = eqs.def(n))
-        write_expr(out, *def, marks);
+    if (sem::TermId def = eqs.def(n); def != sem::kNoTerm)
+        sem::write_term(out, eqs.terms, def, marks);
     else
         out += '-';
     out += '\n';
@@ -398,24 +320,34 @@ ObligationContext obligation_context(const Design& design,
                                      const sem::Equations& eqs,
                                      const SolverLabel& lhs,
                                      const SolverLabel& rhs,
-                                     const std::vector<const Expr*>& facts,
+                                     const std::vector<sem::TermId>& facts,
                                      ContextCache* cache) {
     return ContextBuilder(design, eqs, cache).build(lhs, rhs, facts);
 }
 
-std::string obligation_context_key(const SolverLabel& lhs,
-                                   const SolverLabel& rhs,
-                                   const std::vector<const Expr*>& facts) {
-    std::string out;
-    out.reserve(128);
-    RawRefs refs;
-    write_solver_label(out, 'L', lhs, refs);
-    write_solver_label(out, 'R', rhs, refs);
-    for (const Expr* f : facts) {
-        out += "F:";
-        write_expr(out, *f, refs);
+std::u32string obligation_context_key(const SolverLabel& lhs,
+                                      const SolverLabel& rhs,
+                                      const std::vector<sem::TermId>& facts) {
+    std::u32string key;
+    key.reserve(16 + facts.size());
+    for (const SolverLabel* label : {&lhs, &rhs}) {
+        key += static_cast<char32_t>(label->atoms.size());
+        for (const SolverAtom& atom : label->atoms) {
+            if (atom.kind == SolverAtom::Kind::Level) {
+                key += U'l';
+                key += static_cast<char32_t>(atom.level);
+                continue;
+            }
+            key += U'f';
+            key += static_cast<char32_t>(atom.func);
+            key += static_cast<char32_t>(atom.args.size());
+            for (const auto& arg : atom.args)
+                key += static_cast<char32_t>(arg.net * 2 + (arg.primed ? 1 : 0));
+        }
     }
-    return out;
+    for (sem::TermId f : facts)
+        key += static_cast<char32_t>(f);
+    return key;
 }
 
 } // namespace svlc::check

@@ -71,19 +71,19 @@ ObligationContext obligation_context(const hir::Design& design,
                                      const sem::Equations& eqs,
                                      const solver::SolverLabel& lhs,
                                      const solver::SolverLabel& rhs,
-                                     const std::vector<const hir::Expr*>& facts,
+                                     const std::vector<sem::TermId>& facts,
                                      ContextCache* cache = nullptr);
 
-/// Cheap within-run memo key for `obligation_context`: a raw-id (no
-/// canonical renaming, no slice expansion) serialization of the full
-/// constraint. The constraint determines the slice and hence the whole
-/// canonical context, so equal keys guarantee equal contexts — and being
-/// content-based, structurally identical facts that were cloned per site
-/// (hold-obligation guard negations) share one entry. Raw NetId/FuncId
-/// values are only stable within one elaboration, which is exactly a
-/// memo's lifetime; never persist these.
-std::string obligation_context_key(const solver::SolverLabel& lhs,
-                                   const solver::SolverLabel& rhs,
-                                   const std::vector<const hir::Expr*>& facts);
+/// Within-run memo key for `obligation_context`: the constraint as a
+/// tuple of raw ids — each label's atoms (level, or function plus
+/// argument nets) and the fact term ids. The constraint determines the
+/// slice and hence the whole canonical context, so equal keys guarantee
+/// equal contexts; and since term ids are structural, identical facts
+/// built at different sites (hold-obligation guard negations) share one
+/// entry. Raw ids are only stable within one elaboration and one term
+/// table, which is exactly a memo's lifetime; never persist these.
+std::u32string obligation_context_key(const solver::SolverLabel& lhs,
+                                      const solver::SolverLabel& rhs,
+                                      const std::vector<sem::TermId>& facts);
 
 } // namespace svlc::check

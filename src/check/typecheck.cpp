@@ -56,9 +56,10 @@ private:
     SolverLabel label_of(const Expr& e);
 
     // --- walking -------------------------------------------------------
+    /// Path facts are terms of the equations' table: a branch condition
+    /// is interned once per visit and its negation is one more node.
     struct Context {
-        std::vector<const Expr*> facts;
-        std::vector<ExprPtr> owned; // negations and assume copies
+        std::vector<sem::TermId> facts;
         SolverLabel pc;
     };
     void walk(const Stmt& s, Context& ctx, ProcessKind kind);
@@ -67,7 +68,7 @@ private:
 
     void discharge(ObligationKind kind, SourceLoc loc, NetId target,
                    const SolverLabel& lhs, const SolverLabel& rhs,
-                   const std::vector<const Expr*>& facts);
+                   const std::vector<sem::TermId>& facts);
     std::string next_obligation_id(ObligationKind kind, NetId target);
     void note_witness(const solver::Witness& w, SourceLoc loc);
 
@@ -85,7 +86,7 @@ private:
     /// repeated obligations (unrolled arrays, symmetric instances) share
     /// one slice walk and one serialization instead of paying the full
     /// closure per site.
-    std::unordered_map<std::string, ObligationContext> ctx_memo_;
+    std::unordered_map<std::u32string, ObligationContext> ctx_memo_;
     /// Per-net serialized sections shared by every context build.
     ContextCache ctx_cache_;
 };
@@ -154,7 +155,7 @@ void Checker::note_witness(const solver::Witness& w, SourceLoc loc) {
 
 void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
                         const SolverLabel& lhs, const SolverLabel& rhs,
-                        const std::vector<const Expr*>& facts) {
+                        const std::vector<sem::TermId>& facts) {
     if (result_.timed_out)
         return;
     Obligation ob;
@@ -171,7 +172,7 @@ void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
     // byte-identical to solved ones.
     const ObligationContext* ctx = nullptr;
     if (opts_.oracle) {
-        std::string key = obligation_context_key(lhs, rhs, facts);
+        std::u32string key = obligation_context_key(lhs, rhs, facts);
         auto it = ctx_memo_.find(key);
         if (it == ctx_memo_.end())
             it = ctx_memo_
@@ -248,11 +249,9 @@ void Checker::walk(const Stmt& s, Context& ctx, ProcessKind kind) {
     switch (s.kind) {
     case StmtKind::Block: {
         size_t facts_mark = ctx.facts.size();
-        size_t owned_mark = ctx.owned.size();
         for (const auto& st : s.stmts)
             walk(*st, ctx, kind);
         ctx.facts.resize(facts_mark);
-        ctx.owned.resize(owned_mark);
         break;
     }
     case StmtKind::If: {
@@ -269,20 +268,15 @@ void Checker::walk(const Stmt& s, Context& ctx, ProcessKind kind) {
         // Branch-local facts (including any assume a bare branch
         // statement pushes) must not survive past the branch.
         size_t facts_mark = ctx.facts.size();
-        size_t owned_mark = ctx.owned.size();
-        ctx.facts.push_back(s.cond.get());
+        sem::TermId cond = eqs_.terms.intern(*s.cond);
+        ctx.facts.push_back(cond);
         walk(*s.then_stmt, ctx, kind);
         ctx.facts.resize(facts_mark);
-        ctx.owned.resize(owned_mark);
 
         if (s.else_stmt) {
-            ExprPtr neg = Expr::make_unary(UnaryOp::LogNot, s.cond->clone(),
-                                           s.cond->loc);
-            ctx.facts.push_back(neg.get());
-            ctx.owned.push_back(std::move(neg));
+            ctx.facts.push_back(eqs_.terms.unary(UnaryOp::LogNot, cond));
             walk(*s.else_stmt, ctx, kind);
             ctx.facts.resize(facts_mark);
-            ctx.owned.resize(owned_mark);
         }
         ctx.pc = std::move(saved_pc);
         break;
@@ -294,7 +288,7 @@ void Checker::walk(const Stmt& s, Context& ctx, ProcessKind kind) {
         // The asserted invariant joins the constraint context for the
         // remainder of the enclosing block (checked at run time by the
         // simulator).
-        ctx.facts.push_back(s.pred.get());
+        ctx.facts.push_back(eqs_.terms.intern(*s.pred));
         break;
     }
 }
@@ -334,31 +328,39 @@ void Checker::check_hold_obligations() {
     for (const Net& net : design_.nets) {
         if (net.kind != NetKind::Seq || net.label.is_static())
             continue;
-        auto writes = sem::guarded_writes(design_, net.id);
+        const auto& writes = eqs_.writes[net.id];
+        const sem::TermTable& terms = eqs_.terms;
 
         // Determine the guards under which the register is *fully*
         // written; the hold obligation covers the complement.
-        std::vector<const Expr*> neg_guards_src;
+        std::vector<sem::TermId> guards;
         bool always_written = false;
         if (net.array_size == 0) {
             for (const auto& w : writes) {
-                if (!w.guard) {
+                if (w.guard == sem::kNoTerm) {
                     always_written = true;
                     break;
                 }
-                neg_guards_src.push_back(w.guard.get());
+                guards.push_back(w.guard);
             }
         } else {
-            // Arrays: group writes by syntactically-identical guard and
-            // count a group as a full write only if its constant indices
-            // cover the whole array.
+            // Arrays: group writes by rendered guard and count a group as
+            // a full write only if its constant indices cover the whole
+            // array; the group's first guard in program order stands for
+            // it. Groups are visited in rendering order.
             std::map<std::string, std::vector<uint64_t>> cover;
+            std::unordered_map<std::string, sem::TermId> first_guard;
             auto names = design_.net_names();
             for (const auto& w : writes) {
-                if (!w.index || w.index->kind != ExprKind::Const)
+                std::string key =
+                    w.guard == sem::kNoTerm
+                        ? ""
+                        : to_string(*terms.to_expr(w.guard), names);
+                first_guard.try_emplace(key, w.guard);
+                if (w.index == sem::kNoTerm ||
+                    terms.node(w.index).kind != ExprKind::Const)
                     continue; // dynamic index: cannot prove coverage
-                std::string key = w.guard ? to_string(*w.guard, names) : "";
-                cover[key].push_back(w.index->value.value());
+                cover[key].push_back(terms.node(w.index).value.value());
             }
             for (auto& [key, indices] : cover) {
                 std::sort(indices.begin(), indices.end());
@@ -370,26 +372,15 @@ void Checker::check_hold_obligations() {
                     always_written = true;
                     break;
                 }
-                // Find one representative guard expression for the group.
-                for (const auto& w : writes) {
-                    if (w.guard && to_string(*w.guard, names) == key) {
-                        neg_guards_src.push_back(w.guard.get());
-                        break;
-                    }
-                }
+                guards.push_back(first_guard.at(key));
             }
         }
         if (always_written)
             continue;
 
-        std::vector<ExprPtr> owned;
-        std::vector<const Expr*> facts;
-        for (const Expr* g : neg_guards_src) {
-            ExprPtr neg = Expr::make_unary(UnaryOp::LogNot, g->clone(),
-                                           g->loc);
-            facts.push_back(neg.get());
-            owned.push_back(std::move(neg));
-        }
+        std::vector<sem::TermId> facts;
+        for (sem::TermId g : guards)
+            facts.push_back(eqs_.terms.unary(UnaryOp::LogNot, g));
         SolverLabel old_label = SolverLabel::from_hir(net.label, design_, false);
         SolverLabel new_label = SolverLabel::from_hir(net.label, design_, true);
         discharge(ObligationKind::Hold, net.loc, net.id, old_label, new_label,

@@ -152,9 +152,9 @@ JobResult hunt_text(const JobSpec& spec, const std::string& text) {
     hopts.depth = spec.hunt_depth;
     hunt::HuntResult hr = hunt::hunt(*comp.design(), hopts);
     res.diagnostics = hunt::render_hunt(*comp.design(), hr);
-    // A confirmed leak trace is the hunt analogue of a flow violation; a
-    // bounded certificate (or a secret-free design) the analogue of a
-    // clean check. Hunt never times out — the depth bound is the budget.
+    // A confirmed leak trace is the hunt analogue of a flow violation;
+    // no leak found (or a secret-free design) the analogue of a clean
+    // check. Hunt never times out — the depth bound is the budget.
     return finish(hr.verdict == hunt::HuntVerdict::Leak
                       ? JobStatus::Rejected
                       : JobStatus::Secure);

@@ -160,8 +160,8 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
 
 /// The hunt-job counterpart of verify_text: elaborates `text` and runs
 /// the bounded symbolic leak hunter to spec.hunt_depth. A confirmed leak
-/// trace maps to Rejected, a bounded no-leak certificate (or a
-/// no-secrets design) to Secure; the rendered hunt report travels in
+/// trace maps to Rejected, no leak found (or a no-secrets design) to
+/// Secure; the rendered hunt report travels in
 /// JobResult::diagnostics. Shared by the batch driver and the
 /// distributed worker so both render hunt jobs identically.
 JobResult hunt_text(const JobSpec& spec, const std::string& text);

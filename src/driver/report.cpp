@@ -201,8 +201,11 @@ std::string BatchReport::summary() const {
                   count(JobStatus::Rejected), count(JobStatus::Error),
                   count(JobStatus::Timeout));
     out += buf;
-    // Only worker-count-invariant counters here; cached/enumerated splits
-    // race under concurrency and are reported via stderr and full JSON.
+    // Worker-count-invariant only without a store: replayed obligations
+    // never reach the solver, so with a store this line depends on the
+    // store's history (a fleet's workers replay duplicate obligations).
+    // Cached/enumerated splits race under concurrency and are reported
+    // via stderr and full JSON.
     std::snprintf(buf, sizeof buf, "solver: %llu queries, %llu syntactic\n",
                   static_cast<unsigned long long>(totals.queries),
                   static_cast<unsigned long long>(totals.syntactic_hits));

@@ -17,7 +17,7 @@ using namespace hir;
 const char* hunt_verdict_name(HuntVerdict v) {
     switch (v) {
     case HuntVerdict::Leak: return "leak";
-    case HuntVerdict::NoLeak: return "no-leak";
+    case HuntVerdict::NoLeakFound: return "no-leak-found";
     case HuntVerdict::NoSecrets: return "no-secrets";
     }
     return "unknown";
@@ -26,7 +26,7 @@ const char* hunt_verdict_name(HuntVerdict v) {
 namespace {
 
 /// True when some input's label can ever evaluate above the observer —
-/// otherwise no cycle can seed taint and the certificate is immediate.
+/// otherwise no cycle can seed taint and the answer is immediate.
 bool secrets_possible(const Design& design, LevelId observer) {
     const Lattice& lat = design.policy.lattice();
     for (const Net& net : design.nets) {
@@ -322,7 +322,7 @@ HuntResult hunt(const Design& design, const HuntOptions& opts) {
         states = std::move(next);
     }
 
-    res.verdict = HuntVerdict::NoLeak;
+    res.verdict = HuntVerdict::NoLeakFound;
     return res;
 }
 
@@ -337,10 +337,11 @@ std::string render_hunt(const Design& design, const HuntResult& r) {
         os << "  no input label can rise above the observer; nothing to "
               "leak\n";
         break;
-    case HuntVerdict::NoLeak:
-        os << "  bounded certificate: no leak in " << r.depth
-           << " cycles over " << r.assignments_tried
-           << " input assignments (" << r.states_explored << " states)\n";
+    case HuntVerdict::NoLeakFound:
+        os << "  no leak found in " << r.states_explored
+           << " explored states (beam search, not exhaustive) over "
+           << r.depth << " cycles and " << r.assignments_tried
+           << " input assignments\n";
         break;
     case HuntVerdict::Leak: {
         os << "  net '" << design.net(r.replay.net).name << "' at cycle "
@@ -371,7 +372,7 @@ std::string hunt_json(const Design& design, const HuntResult& r) {
     const Lattice& lat = design.policy.lattice();
     JsonWriter w;
     w.begin_object();
-    w.kv("schema", "svlc-hunt/v1");
+    w.kv("schema", "svlc-hunt/v2");
     w.kv("verdict", hunt_verdict_name(r.verdict));
     w.kv("observer", lat.name(r.observer));
     w.kv("depth", r.depth);

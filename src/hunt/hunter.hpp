@@ -5,8 +5,9 @@
 // before it is reported — the trace in a Leak result is an *oracle-
 // confirmed* witness, and found traces are minimized with the same
 // ddmin machinery `svlc reduce` uses. A clean search to the depth bound
-// is a bounded no-leak certificate (for the explored inputs; see
-// docs/HUNT.md for exactly what it does and does not claim).
+// is `no-leak-found`: no leak among the states the beam explored. The
+// beam drops states, so this is not a proof (see docs/HUNT.md for
+// exactly what it does and does not claim).
 #pragma once
 
 #include "hunt/symexec.hpp"
@@ -37,7 +38,9 @@ struct HuntOptions {
 
 enum class HuntVerdict {
     Leak,      ///< confirmed trace found (replays to a TaintTracker violation)
-    NoLeak,    ///< bounded certificate: no leak within depth for tried inputs
+    /// No leak within depth among the explored states. The beam search is
+    /// not exhaustive, so this is no certificate.
+    NoLeakFound,
     NoSecrets, ///< no input can ever carry a secret w.r.t. the observer
 };
 
@@ -62,7 +65,7 @@ struct ReplayWitness {
 };
 
 struct HuntResult {
-    HuntVerdict verdict = HuntVerdict::NoLeak;
+    HuntVerdict verdict = HuntVerdict::NoLeakFound;
     LevelId observer = kInvalidLevel;
     uint64_t depth = 0;
     uint64_t seed = 0;
@@ -93,7 +96,7 @@ ReplayWitness replay_trace(const hir::Design& design, const HuntTrace& trace,
 /// Human-readable report (trace table, replay verdict, telemetry).
 std::string render_hunt(const hir::Design& design, const HuntResult& r);
 
-/// Machine-readable report, schema svlc-hunt/v1.
+/// Machine-readable report, schema svlc-hunt/v2.
 std::string hunt_json(const hir::Design& design, const HuntResult& r);
 
 } // namespace svlc::hunt

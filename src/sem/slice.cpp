@@ -19,9 +19,9 @@ SliceGraph::Edges compute_edges(const Design& design, const Equations& eqs,
         for (NetId arg : atom.args)
             e.nets.push_back(arg);
     }
-    if (const Expr* def = eqs.def(net.id)) {
+    if (TermId def = eqs.def(net.id); def != kNoTerm) {
         std::vector<NetId> plain, primed;
-        def->collect_reads(plain, primed);
+        eqs.terms.collect_reads(def, plain, primed);
         e.nets.insert(e.nets.end(), plain.begin(), plain.end());
         e.nets.insert(e.nets.end(), primed.begin(), primed.end());
     }

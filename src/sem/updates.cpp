@@ -1,8 +1,7 @@
 #include "sem/updates.hpp"
 
-#include <cassert>
-#include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace svlc::sem {
 
@@ -10,93 +9,60 @@ using namespace hir;
 
 namespace {
 
-/// Conjoins two guards (either may be null = true). Synthesized nodes
-/// inherit an operand's loc so facts built from them stay resolvable in
-/// diagnostics.
-ExprPtr conj(const ExprPtr& a, const Expr* b) {
-    if (!a)
-        return b ? b->clone() : nullptr;
-    if (!b)
-        return a->clone();
-    SourceLoc loc = a->loc.valid() ? a->loc : b->loc;
-    return Expr::make_binary(BinaryOp::LogAnd, a->clone(), b->clone(), loc);
-}
-
-ExprPtr negate(const Expr* e) {
-    return Expr::make_unary(UnaryOp::LogNot, e->clone(), e->loc);
-}
-
-/// Symbolic executor for one process. Maintains env: net -> current
-/// symbolic value (relative to process entry). Reads of nets the process
-/// itself writes are substituted in combinational processes (blocking
-/// semantics); in sequential processes reads always see pre-tick values,
-/// so no substitution happens.
+/// Symbolic executor for one process, interning into the equations'
+/// term table. Maintains env: net -> current symbolic value (relative to
+/// process entry). Reads of nets the process itself wrote earlier are
+/// substituted in combinational processes (blocking semantics); in
+/// sequential processes reads always see pre-tick values, so no
+/// substitution happens.
 class SymbolicExec {
 public:
-    SymbolicExec(const Design& design, const Process& proc)
-        : design_(design), proc_(proc) {
-        for (NetId n : proc.writes)
-            self_writes_.insert(n);
-    }
+    SymbolicExec(const Design& design, const Process& proc, Equations& eqs)
+        : design_(design), proc_(proc), eqs_(eqs), terms_(eqs.terms) {}
 
-    std::unordered_map<NetId, ExprPtr> run() {
-        walk(*proc_.body, nullptr);
-        return std::move(env_);
+    void run() {
+        walk(*proc_.body, kNoTerm);
+        for (auto& [net, term] : env_)
+            eqs_.defs[net] = term;
     }
 
 private:
-    ExprPtr subst(const Expr& e) {
-        if (proc_.kind == ProcessKind::Seq)
-            return e.clone(); // non-blocking reads see old values
-        switch (e.kind) {
-        case ExprKind::NetRef:
-            if (!e.primed && self_writes_.count(e.net)) {
-                auto it = env_.find(e.net);
-                if (it != env_.end())
-                    return it->second->clone();
-                // Read-before-write: rejected by well-formedness; fall
-                // through to a plain reference to stay total.
-            }
-            return e.clone();
-        default: {
-            ExprPtr out = e.clone();
-            rewrite_children(*out);
-            return out;
-        }
-        }
+    bool seq() const { return proc_.kind == ProcessKind::Seq; }
+
+    TermId subst(const Expr& e) {
+        // Non-blocking reads see old values: nothing to substitute.
+        return seq() ? terms_.intern(e) : terms_.intern(e, env_);
     }
 
-    void rewrite_children(Expr& e) {
-        auto fix = [&](ExprPtr& child) {
-            if (child)
-                child = subst(*child);
-        };
-        fix(e.index);
-        fix(e.a);
-        fix(e.b);
-        fix(e.c);
-        for (auto& p : e.parts)
-            p = subst(*p);
+    /// Conjoins a guard (kNoTerm = true) with a condition.
+    TermId conj(TermId guard, TermId cond) {
+        return guard == kNoTerm
+                   ? cond
+                   : terms_.binary(BinaryOp::LogAnd, guard, cond);
     }
 
-    void walk(const Stmt& s, ExprPtr guard) {
+    void walk(const Stmt& s, TermId guard) {
         switch (s.kind) {
         case StmtKind::Block:
             for (const auto& st : s.stmts)
-                walk(*st, guard ? guard->clone() : nullptr);
+                walk(*st, guard);
             break;
         case StmtKind::If: {
-            ExprPtr cond = subst(*s.cond);
-            walk(*s.then_stmt, conj(guard, cond.get()));
-            if (s.else_stmt) {
-                ExprPtr ncond = negate(cond.get());
-                walk(*s.else_stmt, conj(guard, ncond.get()));
-            }
+            TermId cond = subst(*s.cond);
+            walk(*s.then_stmt, conj(guard, cond));
+            if (s.else_stmt)
+                walk(*s.else_stmt,
+                     conj(guard, terms_.unary(UnaryOp::LogNot, cond)));
             break;
         }
         case StmtKind::Assign: {
             NetId net = s.lhs.net;
             const Net& n = design_.net(net);
+            TermId rhs = subst(*s.rhs);
+            if (seq())
+                eqs_.writes[net].push_back(
+                    {guard, s.lhs.index ? subst(*s.lhs.index) : kNoTerm, rhs,
+                     s.node_id, s.loc});
             if (n.array_size != 0 || s.lhs.index || s.lhs.has_range) {
                 // Array-element and part-select targets do not produce
                 // whole-net equations; mark the net as equation-less.
@@ -106,21 +72,19 @@ private:
             }
             if (partial_.count(net))
                 return;
-            ExprPtr rhs = subst(*s.rhs);
-            if (!guard) {
-                env_[net] = std::move(rhs);
-            } else {
-                ExprPtr prev;
-                auto it = env_.find(net);
-                if (it != env_.end())
-                    prev = it->second->clone();
-                else if (proc_.kind == ProcessKind::Seq)
-                    prev = Expr::make_net(net, n.width, false, s.loc); // hold
-                else
-                    prev = Expr::make_const(BitVec(n.width, 0), s.loc);
-                env_[net] = Expr::make_cond(guard->clone(), std::move(rhs),
-                                            std::move(prev), s.loc);
+            if (guard == kNoTerm) {
+                env_[net] = rhs;
+                return;
             }
+            TermId prev;
+            auto it = env_.find(net);
+            if (it != env_.end())
+                prev = it->second;
+            else if (seq())
+                prev = terms_.net(net, n.width, false); // hold
+            else
+                prev = terms_.constant(BitVec(n.width, 0));
+            env_[net] = terms_.cond(guard, rhs, prev);
             break;
         }
         case StmtKind::Assume:
@@ -130,70 +94,21 @@ private:
 
     const Design& design_;
     const Process& proc_;
-    std::unordered_map<NetId, ExprPtr> env_;
-    std::set<NetId> self_writes_;
-    std::set<NetId> partial_;
+    Equations& eqs_;
+    TermTable& terms_;
+    std::unordered_map<NetId, TermId> env_;
+    std::unordered_set<NetId> partial_;
 };
-
-void collect_guarded(const Design& design, const Stmt& s, NetId target,
-                     ExprPtr guard, std::vector<GuardedWrite>& out) {
-    switch (s.kind) {
-    case StmtKind::Block:
-        for (const auto& st : s.stmts)
-            collect_guarded(design, *st, target,
-                            guard ? guard->clone() : nullptr, out);
-        break;
-    case StmtKind::If: {
-        collect_guarded(design, *s.then_stmt, target,
-                        conj(guard, s.cond.get()), out);
-        if (s.else_stmt) {
-            ExprPtr ncond = negate(s.cond.get());
-            collect_guarded(design, *s.else_stmt, target,
-                            conj(guard, ncond.get()), out);
-        }
-        break;
-    }
-    case StmtKind::Assign:
-        if (s.lhs.net == target) {
-            GuardedWrite gw;
-            gw.guard = guard ? guard->clone() : nullptr;
-            gw.index = s.lhs.index ? s.lhs.index->clone() : nullptr;
-            gw.rhs = s.rhs.get();
-            gw.node_id = s.node_id;
-            gw.loc = s.loc;
-            out.push_back(std::move(gw));
-        }
-        break;
-    case StmtKind::Assume:
-        break;
-    }
-}
 
 } // namespace
 
 Equations build_equations(const Design& design) {
     Equations eq;
-    eq.defs.resize(design.nets.size());
-    for (const Process& proc : design.processes) {
-        SymbolicExec exec(design, proc);
-        auto env = exec.run();
-        for (auto& [net, expr] : env)
-            eq.defs[net] = std::move(expr);
-    }
+    eq.defs.assign(design.nets.size(), kNoTerm);
+    eq.writes.resize(design.nets.size());
+    for (const Process& proc : design.processes)
+        SymbolicExec(design, proc, eq).run();
     return eq;
-}
-
-std::vector<GuardedWrite> guarded_writes(const Design& design, NetId net) {
-    std::vector<GuardedWrite> out;
-    for (const Process& proc : design.processes) {
-        bool writes_net = false;
-        for (NetId n : proc.writes)
-            writes_net |= n == net;
-        if (!writes_net)
-            continue;
-        collect_guarded(design, *proc.body, net, nullptr, out);
-    }
-    return out;
 }
 
 } // namespace svlc::sem

@@ -23,14 +23,15 @@
 
 namespace svlc::solver {
 
-/// A fully-prepared enumeration problem. Facts already include the
-/// dependency closure; `vars` is the engine-chosen enumeration set in
-/// mixed-radix digit order (least-significant first).
+/// A fully-prepared enumeration problem. Facts are terms of `terms` and
+/// already include the dependency closure; `vars` is the engine-chosen
+/// enumeration set in mixed-radix digit order (least-significant first).
 struct EnumProblem {
     const hir::Design& design;
+    const sem::TermTable& terms;
     const SolverLabel& lhs;
     const SolverLabel& rhs;
-    const std::vector<const hir::Expr*>& facts;
+    const std::vector<sem::TermId>& facts;
 
     struct Var {
         hir::NetId net = hir::kInvalidNet;

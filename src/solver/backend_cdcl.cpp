@@ -84,10 +84,12 @@ private:
         uint64_t support = 0;
     };
     struct Ctx {
-        // Identity: a query matches while facts are pointer-identical,
-        // the enumeration set is value-identical, and the labels are
-        // value-identical (label mismatch only drops label_dep cubes).
-        std::vector<const Expr*> fact_ids;
+        // Identity: a query matches while the facts are the same term ids
+        // of the same table, the enumeration set is value-identical, and
+        // the labels are value-identical (label mismatch only drops
+        // label_dep cubes).
+        const sem::TermTable* terms = nullptr;
+        std::vector<sem::TermId> fact_ids;
         std::vector<EnumProblem::Var> vars;
         SolverLabel lhs, rhs;
 
@@ -124,26 +126,30 @@ void CdclBackend::compile_facts(const EnumProblem& p) {
     cx.facts.clear();
     cx.arena.reset();
     cx.facts.reserve(p.facts.size());
-    for (const Expr* f : p.facts) {
+    const sem::TermTable& terms = p.terms;
+    for (sem::TermId f : p.facts) {
         CFact cf;
-        cf.prog = compile_term(*f, cx.layout, cx.arena);
+        cf.prog = compile_term(terms, f, cx.layout, cx.arena);
         // Equation shape `x == E` with x a full enumerated variable: when
         // E's value becomes known it forces x's bits (a constant E has
         // empty support, so the implication fires at decision level 0).
-        if (f->kind == ExprKind::Binary && f->bin_op == BinaryOp::Eq) {
-            auto add_dir = [&](const Expr& var_side, const Expr& rhs_side) {
-                if (var_side.kind != ExprKind::NetRef)
+        const sem::TermNode& fn = terms.node(f);
+        if (fn.kind == ExprKind::Binary &&
+            static_cast<BinaryOp>(fn.op) == BinaryOp::Eq) {
+            auto add_dir = [&](sem::TermId var_side, sem::TermId rhs_side) {
+                const sem::TermNode& v = terms.node(var_side);
+                if (v.kind != ExprKind::NetRef)
                     return;
-                int fi = cx.layout.find(var_side.net, var_side.primed);
+                int fi = cx.layout.find(v.net, v.primed);
                 if (fi < 0)
                     return;
                 EqProp ep;
                 ep.target = fi;
-                ep.rhs = compile_term(rhs_side, cx.layout, cx.arena);
+                ep.rhs = compile_term(terms, rhs_side, cx.layout, cx.arena);
                 cf.eqs.push_back(std::move(ep));
             };
-            add_dir(*f->a, *f->b);
-            add_dir(*f->b, *f->a);
+            add_dir(terms.operand(f, 0), terms.operand(f, 1));
+            add_dir(terms.operand(f, 1), terms.operand(f, 0));
         }
         cx.facts.push_back(std::move(cf));
     }
@@ -189,14 +195,9 @@ void CdclBackend::compile_atoms(const EnumProblem& p) {
 
 void CdclBackend::refresh_context(const EnumProblem& p) {
     Ctx& cx = ctx_;
-    bool same_facts = ctx_valid_ && cx.fact_ids.size() == p.facts.size() &&
+    bool same_facts = ctx_valid_ && cx.terms == &p.terms &&
+                      cx.fact_ids == p.facts &&
                       cx.vars.size() == p.vars.size();
-    if (same_facts)
-        for (size_t i = 0; i < p.facts.size(); ++i)
-            if (cx.fact_ids[i] != p.facts[i]) {
-                same_facts = false;
-                break;
-            }
     if (same_facts)
         for (size_t i = 0; i < p.vars.size(); ++i)
             if (cx.vars[i].net != p.vars[i].net ||
@@ -209,6 +210,7 @@ void CdclBackend::refresh_context(const EnumProblem& p) {
     if (!same_facts) {
         // Full rebuild: layout, compiled facts, atoms; every clause and
         // heuristic is dropped — soundness never depends on sharing.
+        cx.terms = &p.terms;
         cx.fact_ids = p.facts;
         cx.vars = p.vars;
         cx.layout.fields.clear();

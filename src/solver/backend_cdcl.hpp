@@ -22,7 +22,7 @@
 //               and flowing). ¬valid_a cubes came from "fact unknown at a
 //               full assignment" steps, which only exclude bad_B.
 //   label_dep — derivation consulted the current lhs/rhs labels.
-// The per-backend ClauseDB persists while the (pointer-identical) fact
+// The per-backend ClauseDB persists while the fact (term-id-identical)
 // set and enumeration layout are unchanged; a label change drops
 // label_dep cubes, any other change drops everything. The engine keeps
 // one backend per job, so clauses flow across that job's obligations and

@@ -37,8 +37,8 @@ public:
 
             bool definitely_sat = true;
             bool possibly_sat = true;
-            for (const hir::Expr* f : p.facts) {
-                auto v = eval3(*f, asg);
+            for (sem::TermId f : p.facts) {
+                auto v = eval3(p.terms, f, asg);
                 if (v && v->is_zero()) {
                     possibly_sat = false;
                     break;

@@ -12,45 +12,12 @@ namespace svlc::solver {
 
 using namespace hir;
 
-bool expr_equal(const Expr& a, const Expr& b) {
-    if (a.kind != b.kind || a.width != b.width)
-        return false;
-    switch (a.kind) {
-    case ExprKind::Const:
-        return a.value == b.value;
-    case ExprKind::NetRef:
-        return a.net == b.net && a.primed == b.primed;
-    case ExprKind::ArrayRead:
-        return a.net == b.net && a.primed == b.primed &&
-               expr_equal(*a.index, *b.index);
-    case ExprKind::Slice:
-        return a.msb == b.msb && a.lsb == b.lsb && expr_equal(*a.a, *b.a);
-    case ExprKind::Unary:
-        return a.un_op == b.un_op && expr_equal(*a.a, *b.a);
-    case ExprKind::Binary:
-        return a.bin_op == b.bin_op && expr_equal(*a.a, *b.a) &&
-               expr_equal(*a.b, *b.b);
-    case ExprKind::Cond:
-        return expr_equal(*a.a, *b.a) && expr_equal(*a.b, *b.b) &&
-               expr_equal(*a.c, *b.c);
-    case ExprKind::Concat:
-        if (a.parts.size() != b.parts.size())
-            return false;
-        for (size_t i = 0; i < a.parts.size(); ++i)
-            if (!expr_equal(*a.parts[i], *b.parts[i]))
-                return false;
-        return true;
-    case ExprKind::Downgrade:
-        return a.dg_kind == b.dg_kind && expr_equal(*a.a, *b.a);
-    }
-    return false;
-}
-
-EntailmentEngine::EntailmentEngine(const Design& design,
-                                   const sem::Equations& eqs,
+EntailmentEngine::EntailmentEngine(const Design& design, sem::Equations& eqs,
                                    EntailOptions opts)
-    : design_(design), eqs_(eqs), opts_(opts),
-      backend_(make_backend(opts_.backend)) {
+    : design_(design), eqs_(eqs), terms_(eqs.terms), opts_(opts),
+      backend_(make_backend(opts_.backend)),
+      eq_memo_(design.nets.size() * 2, kUnbuilt),
+      var_seen_(design.nets.size() * 2, 0) {
     if (opts_.cache) {
         // Entries are shareable only between engines that would run the
         // identical decision procedure: same policy, same budgets, same
@@ -77,53 +44,22 @@ bool EntailmentEngine::past_deadline() const {
            std::chrono::steady_clock::now() > opts_.deadline;
 }
 
-void EntailmentEngine::add_var(NetId net, bool primed,
-                               std::vector<Var>& out) const {
-    Var v{net, primed};
-    if (std::find(out.begin(), out.end(), v) == out.end())
-        out.push_back(v);
-}
-
-void EntailmentEngine::collect_vars(const Expr& e,
-                                    std::vector<Var>& out) const {
-    switch (e.kind) {
-    case ExprKind::Const:
-        return;
-    case ExprKind::NetRef:
-        add_var(e.net, e.primed, out);
-        return;
-    case ExprKind::ArrayRead:
-        // The array contents are not enumerable; only the index matters.
-        if (e.index)
-            collect_vars(*e.index, out);
-        return;
-    default:
-        if (e.index)
-            collect_vars(*e.index, out);
-        if (e.a)
-            collect_vars(*e.a, out);
-        if (e.b)
-            collect_vars(*e.b, out);
-        if (e.c)
-            collect_vars(*e.c, out);
-        for (const auto& p : e.parts)
-            collect_vars(*p, out);
-        return;
-    }
-}
-
 namespace {
 
 /// True when `fact` is the equation `x == y` (either order) for net vars.
-bool is_var_equation(const Expr& fact, const LabelArg& x, const LabelArg& y) {
-    if (fact.kind != ExprKind::Binary || fact.bin_op != BinaryOp::Eq)
+bool is_var_equation(const sem::TermTable& terms, sem::TermId fact,
+                     const LabelArg& x, const LabelArg& y) {
+    const sem::TermNode& f = terms.node(fact);
+    if (f.kind != ExprKind::Binary ||
+        static_cast<BinaryOp>(f.op) != BinaryOp::Eq)
         return false;
-    auto matches = [](const Expr& e, const LabelArg& v) {
+    auto matches = [&](sem::TermId t, const LabelArg& v) {
+        const sem::TermNode& e = terms.node(t);
         return e.kind == ExprKind::NetRef && e.net == v.net &&
                e.primed == v.primed;
     };
-    return (matches(*fact.a, x) && matches(*fact.b, y)) ||
-           (matches(*fact.a, y) && matches(*fact.b, x));
+    sem::TermId a = terms.operand(fact, 0), b = terms.operand(fact, 1);
+    return (matches(a, x) && matches(b, y)) || (matches(a, y) && matches(b, x));
 }
 
 /// Join over the whole range of a label function (default + entries).
@@ -136,49 +72,30 @@ LevelId function_range_join(const LabelFunction& fn, const Lattice& lat) {
 
 } // namespace
 
-const Expr* EntailmentEngine::equation_fact(Var v) {
-    // One synthesized `x == def(x)` node per (net, primed) for the life of
-    // the engine: queries used to clone the defining expression afresh
-    // every time (per-query ExprPtr churn), and the stable pointers double
-    // as the CDCL backend's context-identity signal.
-    uint64_t key = (uint64_t{v.first} << 1) | (v.second ? 1 : 0);
-    auto it = eq_memo_.find(key);
-    if (it != eq_memo_.end())
-        return it->second.get();
-
-    const Net& net = design_.net(v.first);
-    ExprPtr equation;
-    if (v.second && opts_.use_primed_equations) {
-        // Primed: r' == def(r), or r' == r when undriven. Synthesized
-        // nodes inherit the defining expression's loc (falling back to the
-        // net declaration) so every downstream diagnostic stays
-        // file-resolvable.
-        const Expr* def = eqs_.def(v.first);
-        SourceLoc loc = def ? def->loc : net.loc;
-        ExprPtr rhs_expr = def
-                               ? def->clone()
-                               : Expr::make_net(v.first, net.width, false,
-                                                net.loc);
-        equation = Expr::make_binary(
-            BinaryOp::Eq, Expr::make_net(v.first, net.width, true, net.loc),
-            std::move(rhs_expr), loc);
-    } else if (!v.second && net.kind == NetKind::Com &&
-               opts_.use_com_equations) {
-        const Expr* def = eqs_.def(v.first);
-        if (def)
-            equation = Expr::make_binary(
-                BinaryOp::Eq,
-                Expr::make_net(v.first, net.width, false, net.loc),
-                def->clone(), def->loc);
+sem::TermId EntailmentEngine::equation_fact(sem::TermVar v) {
+    sem::TermId& memo = eq_memo_[size_t{v.net} * 2 + (v.primed ? 1 : 0)];
+    if (memo != kUnbuilt)
+        return memo;
+    const Net& net = design_.net(v.net);
+    sem::TermId def = eqs_.def(v.net);
+    memo = sem::kNoTerm; // negative results cached too
+    if (v.primed && opts_.use_primed_equations) {
+        // Primed: r' == def(r), or r' == r when undriven.
+        sem::TermId rhs =
+            def != sem::kNoTerm ? def : terms_.net(v.net, net.width, false);
+        memo = terms_.binary(BinaryOp::Eq, terms_.net(v.net, net.width, true),
+                             rhs);
+    } else if (!v.primed && net.kind == NetKind::Com &&
+               opts_.use_com_equations && def != sem::kNoTerm) {
+        memo = terms_.binary(BinaryOp::Eq,
+                             terms_.net(v.net, net.width, false), def);
     }
-    const Expr* result = equation.get();
-    eq_memo_.emplace(key, std::move(equation)); // negative results cached too
-    return result;
+    return memo;
 }
 
 bool EntailmentEngine::syntactic_covered(
     const SolverAtom& atom, const SolverLabel& rhs,
-    const std::vector<const Expr*>& facts) const {
+    const std::vector<sem::TermId>& facts) const {
     const Lattice& lat = design_.policy.lattice();
     if (atom.kind == SolverAtom::Kind::Level) {
         if (atom.level == lat.bottom())
@@ -200,8 +117,8 @@ bool EntailmentEngine::syntactic_covered(
                 if (atom.args[i] == r.args[i])
                     continue;
                 bool equated = false;
-                for (const Expr* f : facts)
-                    if (is_var_equation(*f, atom.args[i], r.args[i])) {
+                for (sem::TermId f : facts)
+                    if (is_var_equation(terms_, f, atom.args[i], r.args[i])) {
                         equated = true;
                         break;
                     }
@@ -223,7 +140,7 @@ bool EntailmentEngine::syntactic_covered(
 
 EntailResult EntailmentEngine::check_flow(
     const SolverLabel& lhs, const SolverLabel& rhs,
-    const std::vector<const Expr*>& user_facts) {
+    const std::vector<sem::TermId>& user_facts) {
     ++stats_.queries;
     EntailResult result;
 
@@ -252,17 +169,32 @@ EntailResult EntailmentEngine::check_flow(
     // ------------------------------------------------------------------
     // Gather variables and pull in defining equations (closure).
     // ------------------------------------------------------------------
-    std::vector<const Expr*> facts = user_facts;
-    std::vector<Var> vars;
+    // Variables are deduplicated with a per-query stamp, and each fact
+    // contributes its cached first-occurrence variable list, so the
+    // closure never re-walks a term.
+    std::vector<sem::TermId> facts = user_facts;
+    std::vector<sem::TermVar> vars;
+    uint32_t stamp = ++query_stamp_;
+    auto add_var = [&](sem::TermVar v) {
+        uint32_t& seen = var_seen_[size_t{v.net} * 2 + (v.primed ? 1 : 0)];
+        if (seen != stamp) {
+            seen = stamp;
+            vars.push_back(v);
+        }
+    };
+    auto add_vars_of = [&](sem::TermId t) {
+        for (sem::TermVar v : terms_.vars(t))
+            add_var(v);
+    };
     for (const auto& atom : lhs.atoms)
         for (const auto& arg : atom.args)
-            add_var(arg.net, arg.primed, vars);
+            add_var({arg.net, arg.primed});
     for (const auto& atom : rhs.atoms)
         for (const auto& arg : atom.args)
-            add_var(arg.net, arg.primed, vars);
+            add_var({arg.net, arg.primed});
     size_t label_var_count = vars.size();
-    for (const Expr* f : facts)
-        collect_vars(*f, vars);
+    for (sem::TermId f : facts)
+        add_vars_of(f);
 
     // A refutation is only trustworthy when every defining equation the
     // candidate space is subject to made it into the fact set; if
@@ -270,24 +202,22 @@ EntailResult EntailmentEngine::check_flow(
     // candidate may be ruled out by one of the dropped equations.
     bool closure_truncated = false;
     if (opts_.use_equations) {
-        auto may_have_equation = [&](Var v) {
-            if (v.second)
+        auto may_have_equation = [&](sem::TermVar v) {
+            if (v.primed)
                 return opts_.use_primed_equations;
-            return design_.net(v.first).kind == NetKind::Com &&
-                   opts_.use_com_equations && eqs_.def(v.first) != nullptr;
+            return design_.net(v.net).kind == NetKind::Com &&
+                   opts_.use_com_equations &&
+                   eqs_.def(v.net) != sem::kNoTerm;
         };
-        std::vector<Var> processed;
+        // `vars` never repeats a variable, so each frontier is the set of
+        // variables first reached at that depth and is processed once.
         size_t frontier_begin = 0;
         for (int depth = 0; depth < opts_.closure_depth; ++depth) {
             size_t frontier_end = vars.size();
             for (size_t vi = frontier_begin; vi < frontier_end; ++vi) {
-                Var v = vars[vi];
-                if (std::find(processed.begin(), processed.end(), v) !=
-                    processed.end())
-                    continue;
-                processed.push_back(v);
-                if (const Expr* equation = equation_fact(v)) {
-                    collect_vars(*equation, vars);
+                sem::TermId equation = equation_fact(vars[vi]);
+                if (equation != sem::kNoTerm) {
+                    add_vars_of(equation);
                     facts.push_back(equation);
                 }
             }
@@ -296,11 +226,7 @@ EntailResult EntailmentEngine::check_flow(
                 break;
         }
         for (size_t vi = frontier_begin; vi < vars.size(); ++vi) {
-            Var v = vars[vi];
-            if (std::find(processed.begin(), processed.end(), v) !=
-                processed.end())
-                continue;
-            if (may_have_equation(v)) {
+            if (may_have_equation(vars[vi])) {
                 closure_truncated = true;
                 break;
             }
@@ -312,14 +238,15 @@ EntailResult EntailmentEngine::check_flow(
     // goal), then remaining small variables, under the domain budget.
     // ------------------------------------------------------------------
     std::stable_sort(vars.begin() + static_cast<long>(label_var_count),
-                     vars.end(), [&](const Var& a, const Var& b) {
-                         return design_.net(a.first).width <
-                                design_.net(b.first).width;
+                     vars.end(),
+                     [&](const sem::TermVar& a, const sem::TermVar& b) {
+                         return design_.net(a.net).width <
+                                design_.net(b.net).width;
                      });
-    std::vector<Var> enum_vars;
+    std::vector<sem::TermVar> enum_vars;
     uint64_t domain = 1;
-    for (const Var& v : vars) {
-        const Net& net = design_.net(v.first);
+    for (const sem::TermVar& v : vars) {
+        const Net& net = design_.net(v.net);
         if (net.array_size != 0)
             continue;
         if (net.width > opts_.max_enum_width)
@@ -344,8 +271,8 @@ EntailResult EntailmentEngine::check_flow(
         CacheKeyBuilder kb(design_, key_prefix_);
         kb.add_label('L', lhs);
         kb.add_label('R', rhs);
-        for (const Expr* f : facts)
-            kb.add_fact(*f);
+        for (sem::TermId f : facts)
+            kb.add_fact(terms_, f);
         cache_key = kb.finish();
         if (auto hit = opts_.cache->lookup(cache_key)) {
             ++stats_.cache_hits;
@@ -360,11 +287,10 @@ EntailResult EntailmentEngine::check_flow(
     // Enumerate candidates (delegated to the configured backend).
     // ------------------------------------------------------------------
     ++stats_.enumerations;
-    EnumProblem problem{design_, lhs, rhs, facts, {}, 1, {}};
+    EnumProblem problem{design_, terms_, lhs, rhs, facts, {}, 1, {}};
     problem.vars.reserve(enum_vars.size());
-    for (const Var& v : enum_vars)
-        problem.vars.push_back({v.first, v.second,
-                                design_.net(v.first).width});
+    for (const sem::TermVar& v : enum_vars)
+        problem.vars.push_back({v.net, v.primed, design_.net(v.net).width});
     problem.domain = domain;
     problem.deadline = opts_.deadline;
 

@@ -141,21 +141,21 @@ struct EntailResult {
     [[nodiscard]] bool proven() const { return status == EntailStatus::Proven; }
 };
 
-/// Structural expression equality (used by the congruence fast path).
-bool expr_equal(const hir::Expr& a, const hir::Expr& b);
-
 class EntailmentEngine {
 public:
-    EntailmentEngine(const hir::Design& design, const sem::Equations& eqs,
+    /// `eqs` is not copied: its term table receives the engine's
+    /// defining-equation facts, and query facts must be terms of it.
+    EntailmentEngine(const hir::Design& design, sem::Equations& eqs,
                      EntailOptions opts = {});
     ~EntailmentEngine();
     EntailmentEngine(EntailmentEngine&&) = delete;
 
-    /// Checks C ⇒ lhs ⊑ rhs where `facts` are expressions assumed
-    /// non-zero. The engine augments facts with defining equations of the
-    /// signals involved (the cycle-by-cycle reasoning of the paper).
+    /// Checks C ⇒ lhs ⊑ rhs where `facts` are terms of the equations'
+    /// table assumed non-zero. The engine augments facts with defining
+    /// equations of the signals involved (the cycle-by-cycle reasoning of
+    /// the paper).
     EntailResult check_flow(const SolverLabel& lhs, const SolverLabel& rhs,
-                            const std::vector<const hir::Expr*>& facts);
+                            const std::vector<sem::TermId>& facts);
 
     struct Stats {
         uint64_t queries = 0;
@@ -181,28 +181,30 @@ public:
     [[nodiscard]] bool past_deadline() const;
 
 private:
-    using Var = std::pair<hir::NetId, bool>; // (net, primed)
-
     bool syntactic_covered(const SolverAtom& atom, const SolverLabel& rhs,
-                           const std::vector<const hir::Expr*>& facts) const;
-    /// Returns the memoized `x == def(x)` fact for `v` (nullptr when the
-    /// variable has no synthesizable equation under the current options).
-    const hir::Expr* equation_fact(Var v);
-    void collect_vars(const hir::Expr& e, std::vector<Var>& out) const;
-    void add_var(hir::NetId net, bool primed, std::vector<Var>& out) const;
+                           const std::vector<sem::TermId>& facts) const;
+    /// Returns the interned `x == def(x)` fact for `v` (kNoTerm when the
+    /// variable has no equation under the current options).
+    sem::TermId equation_fact(sem::TermVar v);
 
     const hir::Design& design_;
     const sem::Equations& eqs_;
+    sem::TermTable& terms_; ///< eqs_.terms, which receives equation facts
     EntailOptions opts_;
     std::unique_ptr<EntailBackend> backend_;
     Stats stats_;
-    /// Synthesized defining-equation facts, memoized per (net, primed).
+    /// equation_fact per (net, primed) key, kUnbuilt until first asked.
     /// The equation depends only on the net and the (immutable) design
-    /// equations, so it is built once per engine instead of cloned per
-    /// query — and identical queries then carry pointer-identical fact
-    /// sets, which is what lets the CDCL backend recognize an unchanged
-    /// context and keep its learned clauses.
-    std::unordered_map<uint64_t, hir::ExprPtr> eq_memo_;
+    /// equations, so it is interned once per engine — and identical
+    /// queries then carry identical fact ids, which is what lets the CDCL
+    /// backend recognize an unchanged context and keep its learned
+    /// clauses.
+    static constexpr sem::TermId kUnbuilt = sem::kNoTerm - 1;
+    std::vector<sem::TermId> eq_memo_;
+    /// Per-query variable dedup: var_seen_[key] == query_stamp_ marks a
+    /// variable already collected by the current query.
+    std::vector<uint32_t> var_seen_;
+    uint32_t query_stamp_ = 0;
     /// Cache-key prefix: policy fingerprint + enumeration budget. Built
     /// once, on first use, when a cache is attached.
     std::string key_prefix_;

@@ -1,5 +1,7 @@
 #include "solver/entail_cache.hpp"
 
+#include "sem/term_write.hpp"
+
 #include <cstdio>
 #include <functional>
 
@@ -158,78 +160,6 @@ uint32_t CacheKeyBuilder::canon(NetId net) {
     return it->second;
 }
 
-void CacheKeyBuilder::put_expr(const Expr& e) {
-    char buf[48];
-    switch (e.kind) {
-    case ExprKind::Const:
-        std::snprintf(buf, sizeof buf, "#%u:%llx", e.width,
-                      static_cast<unsigned long long>(e.value.value()));
-        out_ += buf;
-        return;
-    case ExprKind::NetRef:
-        std::snprintf(buf, sizeof buf, "n%u%s", canon(e.net),
-                      e.primed ? "'" : "");
-        out_ += buf;
-        return;
-    case ExprKind::ArrayRead:
-        std::snprintf(buf, sizeof buf, "(idx n%u%s ", canon(e.net),
-                      e.primed ? "'" : "");
-        out_ += buf;
-        put_expr(*e.index);
-        out_ += ')';
-        return;
-    case ExprKind::Slice:
-        std::snprintf(buf, sizeof buf, "(sl %u:%u ", e.msb, e.lsb);
-        out_ += buf;
-        put_expr(*e.a);
-        out_ += ')';
-        return;
-    case ExprKind::Unary:
-        std::snprintf(buf, sizeof buf, "(u%d:%u ",
-                      static_cast<int>(e.un_op), e.width);
-        out_ += buf;
-        put_expr(*e.a);
-        out_ += ')';
-        return;
-    case ExprKind::Binary:
-        std::snprintf(buf, sizeof buf, "(b%d:%u ",
-                      static_cast<int>(e.bin_op), e.width);
-        out_ += buf;
-        put_expr(*e.a);
-        out_ += ' ';
-        put_expr(*e.b);
-        out_ += ')';
-        return;
-    case ExprKind::Cond:
-        out_ += "(? ";
-        put_expr(*e.a);
-        out_ += ' ';
-        put_expr(*e.b);
-        out_ += ' ';
-        put_expr(*e.c);
-        out_ += ')';
-        return;
-    case ExprKind::Concat:
-        out_ += "(cat";
-        for (const auto& p : e.parts) {
-            out_ += ' ';
-            put_expr(*p);
-        }
-        out_ += ')';
-        return;
-    case ExprKind::Downgrade:
-        // Facts are evaluated for their *value*; a downgrade is the
-        // identity on its operand, so the declared label is irrelevant
-        // here. The kind tag is kept for conservatism.
-        std::snprintf(buf, sizeof buf, "(dg%d ",
-                      static_cast<int>(e.dg_kind));
-        out_ += buf;
-        put_expr(*e.a);
-        out_ += ')';
-        return;
-    }
-}
-
 void CacheKeyBuilder::add_label(char tag, const SolverLabel& label) {
     char buf[48];
     out_ += tag;
@@ -252,9 +182,19 @@ void CacheKeyBuilder::add_label(char tag, const SolverLabel& label) {
     out_ += ']';
 }
 
-void CacheKeyBuilder::add_fact(const Expr& fact) {
+void CacheKeyBuilder::add_fact(const sem::TermTable& terms,
+                               sem::TermId fact) {
+    struct Refs {
+        CacheKeyBuilder* b;
+        void net(std::string& out, NetId n, bool primed) {
+            char buf[24];
+            std::snprintf(buf, sizeof buf, "n%u%s", b->canon(n),
+                          primed ? "'" : "");
+            out += buf;
+        }
+    } refs{this};
     out_ += "F:";
-    put_expr(fact);
+    sem::write_term(out_, terms, fact, refs);
     out_ += '\n';
 }
 

@@ -30,6 +30,7 @@
 #pragma once
 
 #include "sem/hir.hpp"
+#include "sem/term_table.hpp"
 #include "solver/label.hpp"
 
 #include <atomic>
@@ -121,14 +122,13 @@ public:
     CacheKeyBuilder(const hir::Design& design, const std::string& prefix);
 
     void add_label(char tag, const SolverLabel& label);
-    void add_fact(const hir::Expr& fact);
+    void add_fact(const sem::TermTable& terms, sem::TermId fact);
 
     /// Appends the variable declaration section and returns the key.
     [[nodiscard]] std::string finish();
 
 private:
     uint32_t canon(hir::NetId net);
-    void put_expr(const hir::Expr& e);
 
     const hir::Design& design_;
     std::string out_;

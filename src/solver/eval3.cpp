@@ -6,7 +6,10 @@ namespace svlc::solver {
 
 using namespace hir;
 
-std::optional<BitVec> eval3(const Expr& e, const Assignment& asg) {
+std::optional<BitVec> eval3(const sem::TermTable& terms, sem::TermId id,
+                            const Assignment& asg) {
+    const sem::TermNode& e = terms.node(id);
+    auto sub = [&](size_t i) { return eval3(terms, terms.operand(id, i), asg); };
     switch (e.kind) {
     case ExprKind::Const:
         return e.value;
@@ -15,16 +18,16 @@ std::optional<BitVec> eval3(const Expr& e, const Assignment& asg) {
     case ExprKind::ArrayRead:
         return std::nullopt; // assignments cover scalar nets only
     case ExprKind::Slice: {
-        auto v = eval3(*e.a, asg);
+        auto v = sub(0);
         if (!v)
             return std::nullopt;
         return v->slice(e.msb, e.lsb);
     }
     case ExprKind::Unary: {
-        auto v = eval3(*e.a, asg);
+        auto v = sub(0);
         if (!v)
             return std::nullopt;
-        switch (e.un_op) {
+        switch (static_cast<UnaryOp>(e.op)) {
         case UnaryOp::Neg: return BitVec(v->width(), 0) - *v;
         case UnaryOp::BitNot: return v->bit_not();
         case UnaryOp::LogNot: return v->log_not();
@@ -35,34 +38,31 @@ std::optional<BitVec> eval3(const Expr& e, const Assignment& asg) {
         return std::nullopt;
     }
     case ExprKind::Binary: {
-        auto a = eval3(*e.a, asg);
-        auto b = eval3(*e.b, asg);
+        auto a = sub(0);
+        auto b = sub(1);
+        auto op = static_cast<BinaryOp>(e.op);
         // Short-circuit rules that stay sound under partial knowledge.
-        if (e.bin_op == BinaryOp::LogAnd) {
+        if (op == BinaryOp::LogAnd) {
             if ((a && a->is_zero()) || (b && b->is_zero()))
                 return BitVec(1, 0);
             if (a && b)
                 return a->log_and(*b);
             return std::nullopt;
         }
-        if (e.bin_op == BinaryOp::LogOr) {
+        if (op == BinaryOp::LogOr) {
             if ((a && a->to_bool()) || (b && b->to_bool()))
                 return BitVec(1, 1);
             if (a && b)
                 return a->log_or(*b);
             return std::nullopt;
         }
-        if (e.bin_op == BinaryOp::And) {
-            if ((a && a->is_zero()) || (b && b->is_zero()))
-                return BitVec(e.width, 0);
-        }
-        if (e.bin_op == BinaryOp::Mul) {
+        if (op == BinaryOp::And || op == BinaryOp::Mul) {
             if ((a && a->is_zero()) || (b && b->is_zero()))
                 return BitVec(e.width, 0);
         }
         if (!a || !b)
             return std::nullopt;
-        switch (e.bin_op) {
+        switch (op) {
         case BinaryOp::Add: return *a + *b;
         case BinaryOp::Sub: return *a - *b;
         case BinaryOp::Mul: return *a * *b;
@@ -86,19 +86,19 @@ std::optional<BitVec> eval3(const Expr& e, const Assignment& asg) {
         return std::nullopt;
     }
     case ExprKind::Cond: {
-        auto c = eval3(*e.a, asg);
+        auto c = sub(0);
         if (c)
-            return c->to_bool() ? eval3(*e.b, asg) : eval3(*e.c, asg);
-        auto t = eval3(*e.b, asg);
-        auto f = eval3(*e.c, asg);
+            return c->to_bool() ? sub(1) : sub(2);
+        auto t = sub(1);
+        auto f = sub(2);
         if (t && f && *t == *f)
             return t; // both branches agree; selector irrelevant
         return std::nullopt;
     }
     case ExprKind::Concat: {
         std::optional<BitVec> acc;
-        for (const auto& p : e.parts) {
-            auto v = eval3(*p, asg);
+        for (sem::TermId p : terms.operands(id)) {
+            auto v = eval3(terms, p, asg);
             if (!v)
                 return std::nullopt;
             acc = acc ? acc->concat(*v) : *v;
@@ -106,7 +106,7 @@ std::optional<BitVec> eval3(const Expr& e, const Assignment& asg) {
         return acc;
     }
     case ExprKind::Downgrade:
-        return eval3(*e.a, asg);
+        return sub(0);
     }
     assert(false && "unreachable");
     return std::nullopt;

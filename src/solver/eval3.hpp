@@ -1,4 +1,4 @@
-// Three-valued (known/unknown) evaluation of HIR expressions under a
+// Three-valued (known/unknown) evaluation of interned terms under a
 // partial assignment of current-cycle and next-cycle net values. Soundness
 // contract: if eval3 returns a value, every total extension of the
 // assignment evaluates to that value; `nullopt` means "unknown", never
@@ -7,6 +7,7 @@
 #pragma once
 
 #include "sem/hir.hpp"
+#include "sem/term_table.hpp"
 #include "solver/label.hpp"
 #include "support/bitvec.hpp"
 
@@ -33,11 +34,12 @@ struct Assignment {
     }
 };
 
-/// Evaluates an expression; nullopt = unknown. Array reads are unknown
-/// (the assignment covers scalars only). Short-circuit rules keep results
+/// Evaluates a term; nullopt = unknown. Array reads are unknown (the
+/// assignment covers scalars only). Short-circuit rules keep results
 /// known where possible: x && false == false, x || true == true,
 /// 0 * x == 0, and a conditional with unknown selector but equal branches.
-std::optional<BitVec> eval3(const hir::Expr& e, const Assignment& asg);
+std::optional<BitVec> eval3(const sem::TermTable& terms, sem::TermId id,
+                            const Assignment& asg);
 
 /// Evaluates a label atom to a level: level atoms are always known; a
 /// function atom is known when all arguments are.

@@ -9,6 +9,7 @@ using namespace hir;
 namespace {
 
 struct Compiler {
+    const sem::TermTable& terms;
     const BitLayout& layout;
     std::vector<TermInstr> code;
     uint64_t support = 0;
@@ -21,7 +22,9 @@ struct Compiler {
             max_depth = depth;
     }
 
-    void compile(const Expr& e) {
+    void compile(sem::TermId id) {
+        const sem::TermNode& e = terms.node(id);
+        auto operands = terms.operands(id);
         switch (e.kind) {
         case ExprKind::Const: {
             TermInstr i;
@@ -57,7 +60,7 @@ struct Compiler {
             return;
         }
         case ExprKind::Slice: {
-            compile(*e.a);
+            compile(operands[0]);
             TermInstr i;
             i.op = TermOp::Slice;
             i.a = e.msb;
@@ -66,44 +69,44 @@ struct Compiler {
             return;
         }
         case ExprKind::Unary: {
-            compile(*e.a);
+            compile(operands[0]);
             TermInstr i;
             i.op = TermOp::Unary;
-            i.sub = static_cast<uint8_t>(e.un_op);
+            i.sub = e.op;
             push(i, 0);
             return;
         }
         case ExprKind::Binary: {
-            compile(*e.a);
-            compile(*e.b);
+            compile(operands[0]);
+            compile(operands[1]);
             TermInstr i;
             i.op = TermOp::Binary;
-            i.sub = static_cast<uint8_t>(e.bin_op);
+            i.sub = e.op;
             i.width = e.width; // And/Mul zero-shortcut result width
             push(i, -1);
             return;
         }
         case ExprKind::Cond: {
-            compile(*e.a);
-            compile(*e.b);
-            compile(*e.c);
+            compile(operands[0]);
+            compile(operands[1]);
+            compile(operands[2]);
             TermInstr i;
             i.op = TermOp::Cond;
             push(i, -2);
             return;
         }
         case ExprKind::Concat: {
-            for (const auto& p : e.parts)
-                compile(*p);
+            for (sem::TermId p : operands)
+                compile(p);
             TermInstr i;
             i.op = TermOp::Concat;
-            i.a = static_cast<uint32_t>(e.parts.size());
-            push(i, -(static_cast<int>(e.parts.size()) - 1));
+            i.a = static_cast<uint32_t>(operands.size());
+            push(i, -(static_cast<int>(operands.size()) - 1));
             return;
         }
         case ExprKind::Downgrade:
             // Transparent to evaluation (eval3 recurses straight through).
-            compile(*e.a);
+            compile(operands[0]);
             return;
         }
         assert(false && "unreachable");
@@ -112,10 +115,10 @@ struct Compiler {
 
 } // namespace
 
-TermProgram compile_term(const Expr& e, const BitLayout& layout,
-                         Arena& arena) {
-    Compiler c{layout, {}, 0, 0, 0};
-    c.compile(e);
+TermProgram compile_term(const sem::TermTable& terms, sem::TermId id,
+                         const BitLayout& layout, Arena& arena) {
+    Compiler c{terms, layout, {}, 0, 0, 0};
+    c.compile(id);
     TermProgram p;
     p.size = static_cast<uint32_t>(c.code.size());
     p.max_stack = c.max_depth;

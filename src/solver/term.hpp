@@ -2,7 +2,7 @@
 //
 // The enumeration backends evaluate the same fact expressions millions of
 // times with only the candidate assignment changing. This module compiles
-// an hir::Expr once into a flat postfix instruction sequence (bump-
+// an interned term (sem/term_table.hpp) once into a flat postfix instruction sequence (bump-
 // allocated in an Arena, so a whole fact set is contiguous in memory) and
 // evaluates it against a *bit-packed* candidate word.
 //
@@ -24,6 +24,7 @@
 #pragma once
 
 #include "sem/hir.hpp"
+#include "sem/term_table.hpp"
 #include "solver/arena.hpp"
 #include "solver/eval3.hpp"
 #include "support/bitvec.hpp"
@@ -91,9 +92,10 @@ struct TermProgram {
     uint64_t support = 0;
 };
 
-/// Compiles `e` against `layout`, bump-allocating the code into `arena`.
-TermProgram compile_term(const hir::Expr& e, const BitLayout& layout,
-                         Arena& arena);
+/// Compiles term `id` against `layout`, bump-allocating the code into
+/// `arena`.
+TermProgram compile_term(const sem::TermTable& terms, sem::TermId id,
+                         const BitLayout& layout, Arena& arena);
 
 /// Reusable evaluation scratch (avoids a per-call allocation).
 struct TermScratch {

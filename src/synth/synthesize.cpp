@@ -54,7 +54,7 @@ double Mapper::net_arrival(NetId net, bool primed) {
     if (in_progress_[key])
         return timing_.clk_to_q_ns; // defensive: cycles are pre-rejected
     in_progress_[key] = true;
-    const Expr* def = eqs_.def(net);
+    ExprPtr def = eqs_.terms.to_expr(eqs_.def(net));
     double t = def ? map_expr(*def) : timing_.clk_to_q_ns;
     in_progress_[key] = false;
     arrival_[key] = t;
@@ -228,23 +228,24 @@ SynthReport Mapper::run() {
                 }
             }
             // Write-port network: element-select muxing per write site.
-            for (const auto& gw : sem::guarded_writes(design_, net.id)) {
+            const sem::TermTable& terms = eqs_.terms;
+            for (const auto& gw : eqs_.writes[net.id]) {
                 double t = 0;
-                if (gw.guard)
-                    t = std::max(t, map_expr(*gw.guard));
-                if (gw.index) {
-                    t = std::max(t, map_expr(*gw.index));
+                if (gw.guard != sem::kNoTerm)
+                    t = std::max(t, map_expr(*terms.to_expr(gw.guard)));
+                if (gw.index != sem::kNoTerm) {
+                    t = std::max(t, map_expr(*terms.to_expr(gw.index)));
                     // Address decode: one AND per element (inside the
                     // macro for SRAMs).
                     if (!is_sram)
                         report_.cells.add(Cell::And2, net.array_size);
                 }
-                t = std::max(t, map_expr(*gw.rhs));
+                t = std::max(t, map_expr(*terms.to_expr(gw.rhs)));
                 critical = std::max(critical, t + timing_.setup_ns);
             }
             continue;
         }
-        const Expr* def = eqs_.def(net.id);
+        ExprPtr def = eqs_.terms.to_expr(eqs_.def(net.id));
         if (def == nullptr) {
             // Undriven register: bare FF.
             report_.cells.add(Cell::Dff, net.width);

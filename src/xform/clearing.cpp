@@ -69,8 +69,8 @@ ExprPtr materialize_label_level(const Design& design, const Label& label,
             for (NetId arg : atom.args) {
                 const Net& argnet = design.net(arg);
                 if (next_cycle && argnet.kind == NetKind::Seq) {
-                    const Expr* def = eqs.def(arg);
-                    args.push_back(def ? def->clone()
+                    ExprPtr def = eqs.terms.to_expr(eqs.def(arg));
+                    args.push_back(def ? std::move(def)
                                        : Expr::make_net(arg, argnet.width));
                 } else {
                     args.push_back(Expr::make_net(arg, argnet.width));
@@ -121,9 +121,9 @@ ClearingReport apply_dynamic_clearing(Design& design, DiagnosticEngine& diags,
                 const Net& argnet = design.net(arg);
                 if (argnet.kind != NetKind::Seq)
                     continue;
-                const Expr* def = eqs.def(arg);
-                ExprPtr next_val = def ? def->clone()
-                                       : Expr::make_net(arg, argnet.width);
+                ExprPtr next_val = eqs.terms.to_expr(eqs.def(arg));
+                if (!next_val)
+                    next_val = Expr::make_net(arg, argnet.width);
                 ExprPtr cmp = Expr::make_binary(
                     BinaryOp::Ne, Expr::make_net(arg, argnet.width),
                     std::move(next_val));

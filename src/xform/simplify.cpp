@@ -1,6 +1,6 @@
 #include "xform/simplify.hpp"
 
-#include "solver/entail.hpp" // expr_equal
+#include "sem/term_table.hpp"
 
 #include <cassert>
 
@@ -23,6 +23,13 @@ bool is_all_ones_at(const ExprPtr& e, uint32_t width) {
 }
 
 ExprPtr constant(BitVec v, SourceLoc loc) { return Expr::make_const(v, loc); }
+
+/// Structural equality (locs ignored; a downgrade's declared label is
+/// part of its structure): equal shapes intern to the same term.
+bool same_shape(const Expr& a, const Expr& b) {
+    sem::TermTable terms;
+    return terms.intern(a) == terms.intern(b);
+}
 
 /// Evaluates a binary op over two constants (mirrors the simulator).
 BitVec eval_binary(BinaryOp op, BitVec a, BitVec b) {
@@ -207,7 +214,7 @@ ExprPtr simplify_rec(ExprPtr e, size_t& rewrites) {
         }
         // x == x / x != x over side-effect-free identical operands.
         if ((e->bin_op == BinaryOp::Eq || e->bin_op == BinaryOp::Ne) &&
-            solver::expr_equal(*e->a, *e->b) && !contains_downgrade(*e->a)) {
+            same_shape(*e->a, *e->b) && !contains_downgrade(*e->a)) {
             ++rewrites;
             return constant(BitVec(1, e->bin_op == BinaryOp::Eq ? 1 : 0),
                             e->loc);
@@ -219,7 +226,7 @@ ExprPtr simplify_rec(ExprPtr e, size_t& rewrites) {
             ++rewrites;
             return e->a->value.to_bool() ? std::move(e->b) : std::move(e->c);
         }
-        if (solver::expr_equal(*e->b, *e->c) && !contains_downgrade(*e->a)) {
+        if (same_shape(*e->b, *e->c) && !contains_downgrade(*e->a)) {
             ++rewrites;
             return std::move(e->b);
         }

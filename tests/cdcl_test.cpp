@@ -82,9 +82,12 @@ TEST(CompiledTerms, EquivalentToEval3UnderPartialAssignments) {
     std::mt19937_64 rng(20260809);
     solver::Arena arena;
     solver::TermScratch scratch;
+    sem::TermTable terms;
     for (int trial = 0; trial < 400; ++trial) {
         ExprPtr e = random_term(rng, 4);
-        solver::TermProgram prog = solver::compile_term(*e, layout, arena);
+        sem::TermId id = terms.intern(*e);
+        solver::TermProgram prog =
+            solver::compile_term(terms, id, layout, arena);
         for (int asg_trial = 0; asg_trial < 8; ++asg_trial) {
             Assignment asg;
             uint64_t values = 0, assigned = 0;
@@ -113,7 +116,7 @@ TEST(CompiledTerms, EquivalentToEval3UnderPartialAssignments) {
                     break;
                 }
             }
-            auto ref = eval3(*e, asg);
+            auto ref = eval3(terms, id, asg);
             auto packed =
                 solver::eval_term(prog, layout, values, assigned, scratch);
             ASSERT_EQ(ref.has_value(), packed.has_value())
@@ -149,6 +152,14 @@ endmodule
     }
     hir::Design& design() { return *compiled.design; }
     hir::NetId net(const char* name) { return compiled.design->find_net(name); }
+
+    sem::TermTable terms;
+    std::vector<sem::TermId> intern(std::initializer_list<const Expr*> es) {
+        std::vector<sem::TermId> out;
+        for (const Expr* e : es)
+            out.push_back(terms.intern(*e));
+        return out;
+    }
 };
 
 void expect_same_result(const EntailResult& ref, const EntailResult& got,
@@ -183,15 +194,15 @@ TEST(CdclAdversarial, EmptyEnumerationSetMatchesEnum) {
     auto enum_be = solver::make_backend(BackendKind::Enum);
     auto cdcl_be = solver::make_cdcl_backend();
 
-    std::vector<const Expr*> no_facts;
+    std::vector<sem::TermId> no_facts;
     {
-        EnumProblem p{fx.design(), lt, lu, no_facts, {}, 1, {}};
+        EnumProblem p{fx.design(), fx.terms, lt, lu, no_facts, {}, 1, {}};
         EntailResult ref = enum_be->enumerate(p);
         EXPECT_EQ(ref.status, EntailStatus::Proven);
         expect_same_result(ref, cdcl_be->enumerate(p), "flows/empty");
     }
     {
-        EnumProblem p{fx.design(), lu, lt, no_facts, {}, 1, {}};
+        EnumProblem p{fx.design(), fx.terms, lu, lt, no_facts, {}, 1, {}};
         EntailResult ref = enum_be->enumerate(p);
         EXPECT_EQ(ref.status, EntailStatus::Refuted);
         ASSERT_TRUE(ref.witness.has_value());
@@ -203,8 +214,8 @@ TEST(CdclAdversarial, EmptyEnumerationSetMatchesEnum) {
         // permanently unknown, so the single candidate is only possibly
         // reachable.
         ExprPtr fact = Expr::make_net(fx.net("a"), 1, false);
-        std::vector<const Expr*> facts{fact.get()};
-        EnumProblem p{fx.design(), lu, lt, facts, {}, 1, {}};
+        std::vector<sem::TermId> facts = fx.intern({fact.get()});
+        EnumProblem p{fx.design(), fx.terms, lu, lt, facts, {}, 1, {}};
         EntailResult ref = enum_be->enumerate(p);
         EXPECT_EQ(ref.status, EntailStatus::Unknown);
         EXPECT_NE(ref.detail.find("possibly-reachable violation"),
@@ -228,8 +239,8 @@ TEST(CdclAdversarial, DeadlineExpiryMidSearchFiresWithin1024) {
         Expr::make_binary(BinaryOp::And, Expr::make_net(fx.net("x8"), 8, false),
                           Expr::make_net(fx.net("y8"), 8, false)),
         Expr::make_const(BitVec(8, 255)));
-    std::vector<const Expr*> facts{fact.get()};
-    EnumProblem p{fx.design(), lu, lt, facts, {}, 1, {}};
+    std::vector<sem::TermId> facts = fx.intern({fact.get()});
+    EnumProblem p{fx.design(), fx.terms, lu, lt, facts, {}, 1, {}};
     p.vars = {{fx.net("x8"), false, 8}, {fx.net("y8"), false, 8}};
     p.domain = uint64_t{1} << 16;
 
@@ -293,6 +304,13 @@ struct EngineFixture {
     LevelId level(const char* name) {
         return *design().policy.lattice().find(name);
     }
+    /// Interns query facts into the equations' term table.
+    std::vector<sem::TermId> intern(std::initializer_list<const Expr*> es) {
+        std::vector<sem::TermId> out;
+        for (const Expr* e : es)
+            out.push_back(eqs.terms.intern(*e));
+        return out;
+    }
 };
 
 const char* kTwoFiveBit = R"(
@@ -311,7 +329,7 @@ TEST(CdclCounters, SearchTelemetryIsObservableAndZeroForEnum) {
                                 Expr::make_const(BitVec(5, 5)));
     auto f2 = Expr::make_binary(BinaryOp::Eq, Expr::make_net(y, 5, false),
                                 Expr::make_const(BitVec(5, 7)));
-    std::vector<const Expr*> facts{f1.get(), f2.get()};
+    std::vector<sem::TermId> facts = fx.intern({f1.get(), f2.get()});
     SolverLabel lu = SolverLabel::level(fx.level("U"));
     SolverLabel lt = SolverLabel::level(fx.level("T"));
 
@@ -371,7 +389,7 @@ EntailResult primed_query(EngineFixture& fx, EntailOptions opts) {
                                 Expr::make_const(BitVec(1, 1)));
     auto f2 = Expr::make_unary(UnaryOp::LogNot,
                                Expr::make_net(flip, 1, false));
-    std::vector<const Expr*> facts{f1.get(), f2.get()};
+    std::vector<sem::TermId> facts = fx.intern({f1.get(), f2.get()});
     return engine.check_flow(SolverLabel::level(*fx.design()
                                                      .policy.lattice()
                                                      .find("U")),
@@ -412,7 +430,7 @@ TEST(CdclClauses, ReuseAcrossRepeatAndLabelChangedQueries) {
                                 Expr::make_const(BitVec(5, 5)));
     auto f2 = Expr::make_binary(BinaryOp::Eq, Expr::make_net(y, 5, false),
                                 Expr::make_const(BitVec(5, 7)));
-    std::vector<const Expr*> facts{f1.get(), f2.get()};
+    std::vector<sem::TermId> facts = fx.intern({f1.get(), f2.get()});
     SolverLabel lu = SolverLabel::level(fx.level("U"));
     SolverLabel lt = SolverLabel::level(fx.level("T"));
 

@@ -90,9 +90,10 @@ TEST(Hunt, MinimizedTraceStillConfirms) {
     EXPECT_LE(minimized.trace.cycles.size(), raw.trace.cycles.size());
 }
 
-TEST(Hunt, CleanModeSwitchGetsCertificate) {
+TEST(Hunt, CleanModeSwitchFindsNoLeak) {
     // Figure 4's guard discipline (next(mode)) — checker-accepted, and
-    // the hunter must agree to the bound.
+    // the hunter must agree to the bound. The beam search is not
+    // exhaustive, so the verdict and report must not claim a proof.
     auto c = compile(policy_header() + R"(
 module m(input com {T} go, input com [7:0] {U} in_u);
   reg seq {T} mode;
@@ -110,8 +111,16 @@ endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
     hunt::HuntResult r = hunt::hunt(*c.design, small_hunt(8));
-    EXPECT_EQ(r.verdict, hunt::HuntVerdict::NoLeak);
+    EXPECT_EQ(r.verdict, hunt::HuntVerdict::NoLeakFound);
     EXPECT_EQ(r.unconfirmed_candidates, 0u);
+    std::string report = hunt::render_hunt(*c.design, r);
+    EXPECT_EQ(report.rfind("hunt: no-leak-found", 0), 0u) << report;
+    EXPECT_NE(report.find("no leak found in " +
+                          std::to_string(r.states_explored) +
+                          " explored states (beam search, not exhaustive)"),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("certificate"), std::string::npos) << report;
 }
 
 TEST(Hunt, AllTrustedInputsMeansNoSecrets) {
@@ -158,7 +167,7 @@ TEST(Hunt, JsonReportCarriesSchemaAndVerdict) {
     ASSERT_TRUE(c.ok()) << c.errors();
     hunt::HuntResult r = hunt::hunt(*c.design, small_hunt());
     std::string json = hunt::hunt_json(*c.design, r);
-    EXPECT_NE(json.find("svlc-hunt/v1"), std::string::npos);
+    EXPECT_NE(json.find("svlc-hunt/v2"), std::string::npos);
     EXPECT_NE(json.find("\"verdict\""), std::string::npos);
     EXPECT_NE(json.find("leak"), std::string::npos);
     EXPECT_NE(json.find("\"replay_confirmed\": true"), std::string::npos);
@@ -189,7 +198,7 @@ TEST(HuntCorpus, PlantedRingLeaksCleanRingDoesNot) {
     auto clean = compile(hunt::ring_scenario_source(2, false));
     ASSERT_TRUE(clean.ok()) << clean.errors();
     hunt::HuntResult rc = hunt::hunt(*clean.design, small_hunt(6));
-    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeak);
+    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeakFound);
     EXPECT_EQ(rc.unconfirmed_candidates, 0u);
 }
 
@@ -203,7 +212,7 @@ TEST(HuntCorpus, PlantedCacheLeaksCleanCacheDoesNot) {
     auto clean = compile(hunt::cache_scenario_source(4, false));
     ASSERT_TRUE(clean.ok()) << clean.errors();
     hunt::HuntResult rc = hunt::hunt(*clean.design, small_hunt(6));
-    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeak);
+    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeakFound);
     EXPECT_EQ(rc.unconfirmed_candidates, 0u);
 }
 
@@ -252,7 +261,7 @@ TEST(HuntDriver, HuntJobsReportLeakAsRejected) {
     EXPECT_NE(res.diagnostics.find("leak"), std::string::npos);
 }
 
-TEST(HuntDriver, HuntJobsReportCertificateAsSecure) {
+TEST(HuntDriver, HuntJobsReportNoLeakFoundAsSecure) {
     driver::JobSpec spec;
     spec.name = "ring2-ok";
     spec.top = "ring2";
@@ -260,6 +269,8 @@ TEST(HuntDriver, HuntJobsReportCertificateAsSecure) {
     driver::JobResult res =
         driver::hunt_text(spec, hunt::ring_scenario_source(2, false));
     EXPECT_EQ(res.status, driver::JobStatus::Secure);
+    EXPECT_EQ(res.diagnostics.rfind("hunt: no-leak-found", 0), 0u)
+        << res.diagnostics;
 }
 
 TEST(HuntDriver, ManifestHuntAttributeRoundTrips) {

@@ -163,8 +163,8 @@ TEST_P(SimplifySemantics, RewritesPreserveEvaluation) {
             solver::Assignment asg;
             for (hir::NetId n = 0; n < 4; ++n)
                 asg.set(n, false, BitVec(8, rng()));
-            auto v1 = solver::eval3(*original, asg);
-            auto v2 = solver::eval3(*simplified, asg);
+            auto v1 = eval3_expr(*original, asg);
+            auto v2 = eval3_expr(*simplified, asg);
             ASSERT_TRUE(v1.has_value());
             ASSERT_TRUE(v2.has_value());
             EXPECT_EQ(v1->value(), v2->value())

@@ -30,14 +30,14 @@ using solver::SolverLabel;
 TEST(Eval3, ConstantsAndUnknowns) {
     Assignment asg;
     auto c = Expr::make_const(BitVec(8, 42));
-    EXPECT_EQ(eval3(*c, asg)->value(), 42u);
+    EXPECT_EQ(eval3_expr(*c, asg)->value(), 42u);
     auto n = Expr::make_net(3, 8, false);
-    EXPECT_FALSE(eval3(*n, asg).has_value());
+    EXPECT_FALSE(eval3_expr(*n, asg).has_value());
     asg.set(3, false, BitVec(8, 7));
-    EXPECT_EQ(eval3(*n, asg)->value(), 7u);
+    EXPECT_EQ(eval3_expr(*n, asg)->value(), 7u);
     // Primed and plain values are distinct.
     auto np = Expr::make_net(3, 8, true);
-    EXPECT_FALSE(eval3(*np, asg).has_value());
+    EXPECT_FALSE(eval3_expr(*np, asg).has_value());
 }
 
 TEST(Eval3, ShortCircuitsStaySoundUnderUnknowns) {
@@ -47,18 +47,18 @@ TEST(Eval3, ShortCircuitsStaySoundUnderUnknowns) {
     auto t = Expr::make_const(BitVec(1, 1));
     // unknown && false == false
     auto e1 = Expr::make_binary(BinaryOp::LogAnd, unknown(), f->clone());
-    EXPECT_EQ(eval3(*e1, asg)->value(), 0u);
+    EXPECT_EQ(eval3_expr(*e1, asg)->value(), 0u);
     // unknown || true == true
     auto e2 = Expr::make_binary(BinaryOp::LogOr, unknown(), t->clone());
-    EXPECT_EQ(eval3(*e2, asg)->value(), 1u);
+    EXPECT_EQ(eval3_expr(*e2, asg)->value(), 1u);
     // unknown & 0 == 0 (bitwise)
     auto e3 = Expr::make_binary(BinaryOp::And, Expr::make_net(9, 8, false),
                                 Expr::make_const(BitVec(8, 0)));
-    EXPECT_EQ(eval3(*e3, asg)->value(), 0u);
+    EXPECT_EQ(eval3_expr(*e3, asg)->value(), 0u);
     // unknown + 0 is unknown
     auto e4 = Expr::make_binary(BinaryOp::Add, Expr::make_net(9, 8, false),
                                 Expr::make_const(BitVec(8, 0)));
-    EXPECT_FALSE(eval3(*e4, asg).has_value());
+    EXPECT_FALSE(eval3_expr(*e4, asg).has_value());
 }
 
 TEST(Eval3, CondWithEqualBranchesIgnoresSelector) {
@@ -66,7 +66,7 @@ TEST(Eval3, CondWithEqualBranchesIgnoresSelector) {
     auto e = Expr::make_cond(Expr::make_net(5, 1, false),
                              Expr::make_const(BitVec(8, 9)),
                              Expr::make_const(BitVec(8, 9)));
-    EXPECT_EQ(eval3(*e, asg)->value(), 9u);
+    EXPECT_EQ(eval3_expr(*e, asg)->value(), 9u);
 }
 
 /// Property: whenever eval3 returns a value under a *partial* assignment,
@@ -120,7 +120,7 @@ TEST_P(Eval3Soundness, PartialResultAgreesWithEveryExtension) {
             if (rng() % 2)
                 partial.set(n, true, BitVec(8, rng()));
         }
-        auto partial_result = eval3(*e, partial);
+        auto partial_result = eval3_expr(*e, partial);
         if (!partial_result)
             continue; // unknown never claims anything
         for (int ext = 0; ext < 8; ++ext) {
@@ -131,7 +131,7 @@ TEST_P(Eval3Soundness, PartialResultAgreesWithEveryExtension) {
                 if (!total.get(n, true))
                     total.set(n, true, BitVec(8, rng()));
             }
-            auto total_result = eval3(*e, total);
+            auto total_result = eval3_expr(*e, total);
             ASSERT_TRUE(total_result.has_value());
             EXPECT_EQ(total_result->value(), partial_result->value())
                 << "seed " << GetParam() << " trial " << trial;
@@ -158,6 +158,13 @@ struct EngineFixture {
     hir::Design& design() { return *compiled.design; }
     LevelId level(const char* name) {
         return *design().policy.lattice().find(name);
+    }
+    /// Interns query facts into the equations' term table.
+    std::vector<sem::TermId> intern(std::initializer_list<const Expr*> es) {
+        std::vector<sem::TermId> out;
+        for (const Expr* e : es)
+            out.push_back(eqs.terms.intern(*e));
+        return out;
     }
 };
 
@@ -224,7 +231,7 @@ TEST(Entailment, FactsPruneCandidates) {
     auto fact = Expr::make_binary(BinaryOp::Eq,
                                   Expr::make_net(mode, 1, false),
                                   Expr::make_const(BitVec(1, 0)));
-    std::vector<const Expr*> facts{fact.get()};
+    std::vector<sem::TermId> facts = fx.intern({fact.get()});
     EXPECT_TRUE(
         engine.check_flow(dep, SolverLabel::level(fx.level("T")), facts)
             .proven());
@@ -247,7 +254,7 @@ TEST(Entailment, PrimedTargetUsesEquations) {
     auto f1 = Expr::make_binary(BinaryOp::Eq, Expr::make_net(mode, 1, false),
                                 Expr::make_const(BitVec(1, 1)));
     auto f2 = Expr::make_net(flip, 1, false);
-    std::vector<const Expr*> facts{f1.get(), f2.get()};
+    std::vector<sem::TermId> facts = fx.intern({f1.get(), f2.get()});
     auto res = engine.check_flow(SolverLabel::level(fx.level("U")), next_dep,
                                  facts);
     EXPECT_EQ(res.status, EntailStatus::Refuted);
@@ -255,7 +262,7 @@ TEST(Entailment, PrimedTargetUsesEquations) {
 
     // With ¬flip instead, mode' == mode == 1: U flows into lb(1) = U.
     auto f3 = Expr::make_unary(UnaryOp::LogNot, Expr::make_net(flip, 1, false));
-    std::vector<const Expr*> facts2{f1.get(), f3.get()};
+    std::vector<sem::TermId> facts2 = fx.intern({f1.get(), f3.get()});
     EXPECT_TRUE(engine.check_flow(SolverLabel::level(fx.level("U")), next_dep,
                                   facts2)
                     .proven());
@@ -278,7 +285,7 @@ TEST(Entailment, EquationAblationLosesThePrimedProof) {
     auto f1 = Expr::make_binary(BinaryOp::Eq, Expr::make_net(mode, 1, false),
                                 Expr::make_const(BitVec(1, 1)));
     auto f3 = Expr::make_unary(UnaryOp::LogNot, Expr::make_net(flip, 1, false));
-    std::vector<const Expr*> facts{f1.get(), f3.get()};
+    std::vector<sem::TermId> facts = fx.intern({f1.get(), f3.get()});
     // Without equations mode' is unconstrained: cannot prove U ⊑ lb(mode').
     EXPECT_FALSE(engine.check_flow(SolverLabel::level(fx.level("U")),
                                    next_dep, facts)
@@ -302,7 +309,7 @@ endmodule
     auto fact = Expr::make_binary(BinaryOp::Eq,
                                   Expr::make_net(wide, 32, false),
                                   Expr::make_const(BitVec(32, 5)));
-    std::vector<const Expr*> facts{fact.get()};
+    std::vector<sem::TermId> facts = fx.intern({fact.get()});
     EXPECT_TRUE(engine.check_flow(SolverLabel::level(t),
                                   SolverLabel::level(u), facts)
                     .proven());
@@ -331,8 +338,9 @@ TEST(ExprEqual, StructuralEquality) {
                                Expr::make_const(BitVec(8, 3)));
     auto c = Expr::make_binary(BinaryOp::Add, Expr::make_net(1, 8, true),
                                Expr::make_const(BitVec(8, 3)));
-    EXPECT_TRUE(solver::expr_equal(*a, *b));
-    EXPECT_FALSE(solver::expr_equal(*a, *c)); // primed differs
+    sem::TermTable terms;
+    EXPECT_TRUE(terms.intern(*a) == terms.intern(*b));
+    EXPECT_FALSE(terms.intern(*a) == terms.intern(*c)); // primed differs
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +358,7 @@ endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
     auto eqs = sem::build_equations(*c.design);
-    const Expr* def = eqs.def(c.design->find_net("r"));
+    ExprPtr def = eqs.terms.to_expr(eqs.def(c.design->find_net("r")));
     ASSERT_NE(def, nullptr);
     // r' = en ? d : r
     ASSERT_EQ(def->kind, hir::ExprKind::Cond);
@@ -371,14 +379,14 @@ endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
     auto eqs = sem::build_equations(*c.design);
-    const Expr* def = eqs.def(c.design->find_net("r"));
-    ASSERT_NE(def, nullptr);
+    sem::TermId def = eqs.def(c.design->find_net("r"));
+    ASSERT_NE(def, sem::kNoTerm);
     // Equation must evaluate like the simulator: b ? 0x22 : 0x11.
     Assignment asg;
     asg.set(c.design->find_net("b"), false, BitVec(1, 1));
-    EXPECT_EQ(eval3(*def, asg)->value(), 0x22u);
+    EXPECT_EQ(eval3(eqs.terms, def, asg)->value(), 0x22u);
     asg.set(c.design->find_net("b"), false, BitVec(1, 0));
-    EXPECT_EQ(eval3(*def, asg)->value(), 0x11u);
+    EXPECT_EQ(eval3(eqs.terms, def, asg)->value(), 0x11u);
 }
 
 TEST(Equations, BlockingSubstitutionInCombProcesses) {
@@ -394,12 +402,12 @@ endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
     auto eqs = sem::build_equations(*c.design);
-    const Expr* ydef = eqs.def(c.design->find_net("y"));
-    ASSERT_NE(ydef, nullptr);
+    sem::TermId ydef = eqs.def(c.design->find_net("y"));
+    ASSERT_NE(ydef, sem::kNoTerm);
     Assignment asg;
     asg.set(c.design->find_net("a"), false, BitVec(8, 5));
     // y = (a+1)+1 = 7: x must have been inlined, not left symbolic.
-    EXPECT_EQ(eval3(*ydef, asg)->value(), 7u);
+    EXPECT_EQ(eval3(eqs.terms, ydef, asg)->value(), 7u);
 }
 
 TEST(Equations, ArraysAndInputsHaveNoEquations) {
@@ -413,8 +421,8 @@ endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
     auto eqs = sem::build_equations(*c.design);
-    EXPECT_EQ(eqs.def(c.design->find_net("mem")), nullptr);
-    EXPECT_EQ(eqs.def(c.design->find_net("a")), nullptr);
+    EXPECT_EQ(eqs.def(c.design->find_net("mem")), sem::kNoTerm);
+    EXPECT_EQ(eqs.def(c.design->find_net("a")), sem::kNoTerm);
 }
 
 /// Property: for every scalar register of a random-ish design, stepping
@@ -452,9 +460,9 @@ endmodule
         // The equations reference primed values of *other* registers;
         // provide them by evaluating in dependency order (mode first).
         for (hir::NetId r : regs) {
-            const Expr* def = eqs.def(r);
-            ASSERT_NE(def, nullptr);
-            auto v = eval3(*def, asg);
+            sem::TermId def = eqs.def(r);
+            ASSERT_NE(def, sem::kNoTerm);
+            auto v = eval3(eqs.terms, def, asg);
             ASSERT_TRUE(v.has_value());
             asg.set(r, true, *v);
         }

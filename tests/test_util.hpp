@@ -56,6 +56,14 @@ inline check::CheckResult check_source(const std::string& source,
     return check::check_design(*compiled.design, *compiled.diags, opts);
 }
 
+/// Three-valued evaluation of an hir::Expr: interns it into a scratch
+/// term table and runs solver::eval3 on the term.
+inline std::optional<BitVec> eval3_expr(const hir::Expr& e,
+                                        const solver::Assignment& asg) {
+    sem::TermTable terms;
+    return solver::eval3(terms, terms.intern(e), asg);
+}
+
 /// The default two-point integrity policy header used by most tests.
 inline std::string policy_header() {
     return R"(
