@@ -1,9 +1,7 @@
-// Batch-verification driver benchmark: the three hdl/ designs plus the
-// four generated CPU variants, 1 vs N worker threads and cold vs warm
-// entailment cache. The headline numbers are the parallel speedup
-// (bounded by hardware concurrency) and the cache hit rate — repeated
-// module instances make the warm/cold gap dramatic (the quad-core alone
-// re-decides ~97% of its enumeration-class obligations).
+// Batch-verification driver benchmark: the hdl/ designs plus the four
+// generated CPU variants on 1 vs N worker threads. The headline number
+// is the parallel speedup, bounded by hardware concurrency and by the
+// slowest single job (the quad core).
 // Emits BENCH_batch.json alongside the table for dashboard ingestion.
 #include "bench_util.hpp"
 
@@ -51,22 +49,17 @@ std::vector<JobSpec> corpus() {
     return jobs;
 }
 
-BatchReport run_once(const std::vector<JobSpec>& jobs, size_t workers,
-                     bool cache, VerificationDriver* reuse = nullptr) {
+BatchReport run_once(const std::vector<JobSpec>& jobs, size_t workers) {
     DriverOptions opts = bench_options();
     opts.jobs = workers;
-    opts.use_cache = cache;
-    if (reuse)
-        return reuse->run(jobs);
-    VerificationDriver drv(opts);
-    return drv.run(jobs);
+    return VerificationDriver(opts).run(jobs);
 }
 
 void print_table() {
     svlc::bench::heading(
-        "E9: batch verification — thread pool + memoizing entailment cache",
-        "corpus-shaped IFC workloads (SEIF; Li & Zhang) win by sharing and "
-        "pruning\nsolver work across per-design/per-path queries");
+        "E9: batch verification — thread pool over independent jobs",
+        "corpus-shaped IFC workloads (SEIF; Li & Zhang) are embarrassingly\n"
+        "parallel across designs");
 
     auto jobs = corpus();
     size_t hw = std::thread::hardware_concurrency();
@@ -78,17 +71,13 @@ void print_table() {
     struct Row {
         const char* name;
         size_t workers;
-        bool cache;
-        bool warm;
     } rows[] = {
-        {"sequential, no cache", 1, false, false},
-        {"sequential, cold cache", 1, true, false},
-        {"parallel, cold cache", hw, true, false},
-        {"parallel, warm cache", hw, true, true},
+        {"sequential", 1},
+        {"parallel", hw},
     };
 
-    std::printf("%-26s %-10s %-12s %-10s %-10s\n", "configuration",
-                "wall ms", "hit rate", "secure", "rejected");
+    std::printf("%-26s %-10s %-10s %-10s\n", "configuration", "wall ms",
+                "secure", "rejected");
     double base_ms = 0;
     JsonWriter w;
     w.begin_object();
@@ -99,25 +88,17 @@ void print_table() {
     w.key("rows");
     w.begin_array();
     for (const auto& row : rows) {
-        DriverOptions opts = bench_options();
-        opts.jobs = row.workers;
-        opts.use_cache = row.cache;
-        VerificationDriver drv(opts);
-        if (row.warm)
-            (void)drv.run(jobs); // populate the cache, untimed
-        BatchReport report = drv.run(jobs);
+        BatchReport report = run_once(jobs, row.workers);
         if (base_ms == 0)
             base_ms = report.wall_ms;
-        std::printf("%-26s %-10.1f %-12.3f %-10zu %-10zu (%.2fx)\n",
-                    row.name, report.wall_ms, report.cache.hit_rate(),
-                    report.count(driver::JobStatus::Secure),
+        std::printf("%-26s %-10.1f %-10zu %-10zu (%.2fx)\n", row.name,
+                    report.wall_ms, report.count(driver::JobStatus::Secure),
                     report.count(driver::JobStatus::Rejected),
                     base_ms / report.wall_ms);
         w.begin_object();
         w.kv("configuration", row.name);
         w.kv("workers", uint64_t{row.workers});
         w.kv("wall_ms", report.wall_ms, 3);
-        w.kv("cache_hit_rate", report.cache.hit_rate(), 3);
         w.kv("secure", report.count(driver::JobStatus::Secure));
         w.kv("rejected", report.count(driver::JobStatus::Rejected));
         w.kv("speedup", base_ms / report.wall_ms, 2);
@@ -128,56 +109,32 @@ void print_table() {
     std::ofstream out("BENCH_batch.json");
     out << w.str() << "\n";
     std::printf("\nwrote BENCH_batch.json\n");
-    std::printf("\n-> memoization collapses repeated per-instance "
-                "obligations (the quad core's\n   four identical cores, "
-                "the labeled/vulnerable twins) into one decision each;\n"
-                "   the thread pool stacks on top, bounded by hardware "
-                "concurrency\n");
+    std::printf("\n-> the thread pool is bounded by hardware concurrency "
+                "and by the slowest\n   job; each job pays its own solver "
+                "work\n");
 }
 
-void bm_batch_sequential_nocache(benchmark::State& state) {
+void bm_batch_sequential(benchmark::State& state) {
     auto jobs = corpus();
     for (auto _ : state) {
-        auto report = run_once(jobs, 1, false);
+        auto report = run_once(jobs, 1);
         benchmark::DoNotOptimize(report.results.size());
     }
 }
-BENCHMARK(bm_batch_sequential_nocache)
+BENCHMARK(bm_batch_sequential)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-void bm_batch_sequential_coldcache(benchmark::State& state) {
+void bm_batch_parallel(benchmark::State& state) {
     auto jobs = corpus();
     for (auto _ : state) {
-        auto report = run_once(jobs, 1, true);
+        auto report = run_once(jobs, 0); // 0 = hardware concurrency
         benchmark::DoNotOptimize(report.results.size());
     }
 }
-BENCHMARK(bm_batch_sequential_coldcache)
+BENCHMARK(bm_batch_parallel)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-
-void bm_batch_parallel_coldcache(benchmark::State& state) {
-    auto jobs = corpus();
-    for (auto _ : state) {
-        auto report = run_once(jobs, 0, true); // 0 = hardware concurrency
-        benchmark::DoNotOptimize(report.results.size());
-    }
-}
-BENCHMARK(bm_batch_parallel_coldcache)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void bm_batch_warmcache(benchmark::State& state) {
-    auto jobs = corpus();
-    VerificationDriver drv(bench_options());
-    (void)drv.run(jobs); // warm up
-    for (auto _ : state) {
-        auto report = drv.run(jobs);
-        benchmark::DoNotOptimize(report.results.size());
-    }
-}
-BENCHMARK(bm_batch_warmcache)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

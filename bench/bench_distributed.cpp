@@ -1,16 +1,14 @@
 // Distributed fleet benchmark (src/dist): one in-process Coordinator vs
-// 1/2/4 Worker threads over a corpus of cache-disjoint CPU-class jobs,
+// 1/2/4 Worker threads over a corpus of independent CPU-class jobs,
 // against the single-process sequential driver as baseline.
 //
-// Every job is the labeled evaluation processor with a unique *unused*
-// lattice level spliced into its policy. The extra level changes the
-// policy fingerprint that prefixes every entailment-cache key, so no two
-// jobs share a single cached decision — each job costs full pipeline +
-// solver work no matter who runs it. That removes the memoization
-// crutch (bench_batch measures that) and isolates what this subsystem
-// claims: wall-clock scaling from sharding real verification across
-// workers, plus the warm rerun where the coordinator's merged store
-// answers everything by fingerprint.
+// Every job is the labeled evaluation processor under its own name.
+// Workers run without stores, so no worker replays obligation records
+// another job left behind — each job costs full pipeline + solver work
+// no matter who runs it. That isolates what this subsystem claims:
+// wall-clock scaling from sharding real verification across workers,
+// plus the warm rerun where the coordinator's merged store answers
+// everything by fingerprint.
 // Emits BENCH_distributed.json alongside the table; the acceptance bar
 // is >= 2.5x at 4 workers (cold) and a 100% store-hit warm rerun.
 #include "bench_util.hpp"
@@ -65,29 +63,14 @@ std::string bench_socket(const char* tag) {
     return (bench_root() / (std::string(tag) + ".sock")).string();
 }
 
-/// kJobs copies of the labeled CPU, each with a unique extra top level
-/// chained onto its lattice (`level QQi; flow U -> QQi;` — the lattice
-/// must stay complete, so the new level extends the chain rather than
-/// sitting incomparable). The changed policy fingerprint prefixes every
-/// entailment-cache key, making the jobs' keyspaces disjoint while the
-/// verified design is untouched.
+/// kJobs copies of the labeled CPU; the distinct names give distinct
+/// job fingerprints in the coordinator's store.
 std::vector<JobSpec> corpus() {
-    std::string base = proc::labeled_cpu_source();
-    size_t brace = base.find("lattice {");
-    if (brace == std::string::npos)
-        throw std::runtime_error("labeled CPU source has no lattice block");
-    size_t close = base.find('}', brace);
-    if (close == std::string::npos)
-        throw std::runtime_error("labeled CPU lattice block is unterminated");
-
     std::vector<JobSpec> jobs;
     for (size_t i = 0; i < kJobs; ++i) {
-        std::string level = "QQ" + std::to_string(i);
-        std::string text = base;
-        text.insert(close, " level " + level + "; flow U -> " + level + "; ");
         JobSpec spec;
         spec.name = "bench:dist-" + std::to_string(i);
-        spec.source = std::move(text);
+        spec.source = proc::labeled_cpu_source();
         jobs.push_back(std::move(spec));
     }
     return jobs;
@@ -99,10 +82,9 @@ struct FleetRun {
     dist::CoordinatorStats stats;
 };
 
-/// One coordinator + `workers` Worker threads over `jobs`. Fresh stores
-/// per run (workers get per-worker stores, the coordinator's merged
-/// store lands in `store_dir`), so a run is cold unless `store_dir` was
-/// populated by a previous run.
+/// One coordinator + `workers` store-less Worker threads over `jobs`.
+/// The coordinator's merged store lands in `store_dir`, so a run is cold
+/// unless `store_dir` was populated by a previous run.
 FleetRun run_fleet(const std::vector<JobSpec>& jobs, size_t workers,
                    const std::string& store_dir, const char* tag) {
     CoordinatorOptions copts;
@@ -121,9 +103,6 @@ FleetRun run_fleet(const std::vector<JobSpec>& jobs, size_t workers,
         fleet.emplace_back([&, i] {
             WorkerOptions wopts;
             wopts.socket_path = copts.socket_path;
-            wopts.store_dir =
-                (bench_root() / (std::string(tag) + "-w" + std::to_string(i)))
-                    .string();
             wopts.name = "bench-w" + std::to_string(i);
             wopts.retry.attempts = 40;
             wopts.retry.backoff_ms = 25;
@@ -149,8 +128,8 @@ FleetRun run_fleet(const std::vector<JobSpec>& jobs, size_t workers,
 void print_table() {
     bench::heading(
         "E12: distributed fleet — coordinator/worker sharding + merged store",
-        "cache-disjoint jobs make every shard pay full verification cost,\n"
-        "so the fleet's speedup is real sharding, not memoization; the\n"
+        "store-less workers make every shard pay full verification cost,\n"
+        "so the fleet's speedup is real sharding, not replay; the\n"
         "coordinator's merged store then answers the entire rerun by\n"
         "fingerprint");
 
@@ -162,12 +141,12 @@ void print_table() {
     size_t hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;
-    std::printf("corpus: %zu cache-disjoint labeled-CPU jobs; hardware "
+    std::printf("corpus: %zu labeled-CPU jobs; hardware "
                 "concurrency: %zu\n\n",
                 jobs.size(), hw);
 
-    // Baseline: the existing single-process sequential driver, shared
-    // cache enabled (its default) — the exact `svlc batch --jobs 1` path.
+    // Baseline: the existing single-process sequential driver — the
+    // exact `svlc batch --jobs 1 --no-store` path.
     driver::DriverOptions dopts;
     dopts.jobs = 1;
     dopts.check.solver.backend = kBackend;

@@ -1,7 +1,6 @@
 // Persistent incremental verification benchmark: the full corpus (the
-// three hdl/ designs plus the four generated CPU variants) checked
-//   cold              — fresh process, no persistence, cold entail cache
-//   cache-warm        — same process, in-memory entail cache warm
+// hdl/ designs plus the four generated CPU variants) checked
+//   cold              — fresh driver, no persistence
 //   fingerprint-warm  — fresh driver over a populated store: every job
 //                       replays its verdict, nothing is parsed at all
 // The fingerprint-warm row is the edit–recheck steady state `svlc watch`
@@ -9,7 +8,7 @@
 // A second table drives the obligation-level edit loop on the labeled
 // CPU: a comment-only edit replays every proof, a one-label edit
 // re-solves only the dependent slice (bar: >= 10x over cold).
-// Emits BENCH_incr.json (svlc-bench-incr/v2) alongside the tables.
+// Emits BENCH_incr.json (svlc-bench-incr/v3) alongside the tables.
 #include "bench_util.hpp"
 
 #include "driver/driver.hpp"
@@ -82,11 +81,7 @@ void print_table() {
     plain.jobs = 1;
 
     // cold: no persistence at all.
-    VerificationDriver cold_drv(plain);
-    BatchReport cold = cold_drv.run(jobs);
-
-    // cache-warm: same driver again — in-memory entail cache is hot.
-    BatchReport cache_warm = cold_drv.run(jobs);
+    BatchReport cold = VerificationDriver(plain).run(jobs);
 
     // populate the store (untimed), then measure a fresh driver over it.
     DriverOptions stored = plain;
@@ -98,9 +93,7 @@ void print_table() {
     struct Row {
         const char* name;
         const BatchReport* r;
-    } rows[] = {{"cold", &cold},
-                {"cache-warm", &cache_warm},
-                {"fingerprint-warm", &fp_warm}};
+    } rows[] = {{"cold", &cold}, {"fingerprint-warm", &fp_warm}};
     std::printf("%-18s %-10s %-9s %-10s %-10s\n", "configuration",
                 "wall ms", "skipped", "secure", "rejected");
     for (const auto& row : rows)
@@ -179,17 +172,14 @@ void print_table() {
 
     JsonWriter w;
     w.begin_object();
-    w.kv("schema", "svlc-bench-incr/v2");
+    w.kv("schema", "svlc-bench-incr/v3");
     w.kv("bench", "incr");
     w.kv("jobs", jobs.size());
     w.kv("backend", solver::backend_id(kBackend));
     w.kv("cold_ms", cold.wall_ms, 3);
-    w.kv("cache_warm_ms", cache_warm.wall_ms, 3);
     w.kv("fingerprint_warm_ms", fp_warm.wall_ms, 3);
-    w.kv("cache_warm_speedup", cold.wall_ms / cache_warm.wall_ms, 2);
     w.kv("fingerprint_warm_speedup", cold.wall_ms / fp_warm.wall_ms, 2);
     w.kv("fingerprint_skipped", fp_warm.skipped_count());
-    w.kv("entail_loaded", fp_warm.store.entail_loaded);
     w.kv("edit_cold_ms", ecold.wall_ms, 3);
     w.kv("edit_whitespace_ms", ews.wall_ms, 3);
     w.kv("edit_whitespace_replayed", ws_replayed);
@@ -229,26 +219,6 @@ void bm_incr_fingerprint_warm(benchmark::State& state) {
     fs::remove_all(store, ec);
 }
 BENCHMARK(bm_incr_fingerprint_warm)->Unit(benchmark::kMillisecond);
-
-void bm_incr_entail_load(benchmark::State& state) {
-    auto jobs = corpus();
-    fs::path store = fresh_store_dir();
-    DriverOptions opts = bench_options();
-    opts.store_dir = store.string();
-    (void)VerificationDriver(opts).run(jobs); // populate entail.cache
-    incr::StoreOptions sopts;
-    sopts.dir = store.string();
-    for (auto _ : state) {
-        incr::ArtifactStore s(sopts);
-        std::string error;
-        s.open(error);
-        solver::EntailCache cache;
-        benchmark::DoNotOptimize(s.load_entail(cache));
-    }
-    std::error_code ec;
-    fs::remove_all(store, ec);
-}
-BENCHMARK(bm_incr_entail_load)->Unit(benchmark::kMillisecond);
 
 void bm_incr_guard_edit(benchmark::State& state) {
     JobSpec labeled;

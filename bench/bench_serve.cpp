@@ -1,8 +1,8 @@
 // `svlc serve` benchmark: 100 verify requests for the labeled processor
 // through a live daemon (real Unix socket, framed JSON-RPC) versus the
-// same 100 requests paid cold — a fresh pipeline and a cold entailment
-// cache per request, i.e. what a per-process `svlc check` loop costs
-// before even counting exec/startup overhead. The daemon answers
+// same 100 requests paid cold — a fresh pipeline per request, i.e. what
+// a per-process `svlc check` loop costs before even counting
+// exec/startup overhead. The daemon answers
 // repeats from its session cache with zero re-elaboration and zero
 // solver calls; the acceptance bar is >= 10x over cold.
 // Emits BENCH_serve.json alongside the table for dashboard ingestion.
@@ -45,17 +45,16 @@ std::string bench_socket() {
         .string();
 }
 
-/// One cold verification: fresh Compilation, fresh cache — the work a
-/// separate `svlc check` process repeats on every invocation.
+/// One cold verification: a fresh Compilation — the work a separate
+/// `svlc check` process repeats on every invocation.
 double one_cold_check(const std::string& source) {
-    solver::EntailCache cache;
     pipeline::CompilationOptions copts;
     copts.check.solver.backend = kBackend;
     pipeline::Compilation comp(std::move(copts));
     driver::JobSpec spec;
     spec.name = "builtin:labeled";
     Clock::time_point t0 = Clock::now();
-    driver::JobResult res = driver::verify_text(comp, spec, source, 0, &cache);
+    driver::JobResult res = driver::verify_text(comp, spec, source, 0);
     if (res.status != driver::JobStatus::Secure)
         throw std::runtime_error("bench job unexpectedly not secure");
     return ms_between(t0, Clock::now());
@@ -118,9 +117,9 @@ void print_table() {
 
     std::string source = proc::labeled_cpu_source();
 
-    // Cold: every request is a fresh pipeline + cold cache (a strict
-    // lower bound on per-process `svlc check`, which additionally pays
-    // fork/exec and binary startup). Averaged over a few requests —
+    // Cold: every request is a fresh pipeline (a strict lower bound on
+    // per-process `svlc check`, which additionally pays fork/exec and
+    // binary startup). Averaged over a few requests —
     // repeating the full 100 cold would only add minutes, not accuracy.
     constexpr int kColdReps = 5;
     double cold_total = 0;

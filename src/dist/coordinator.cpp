@@ -40,7 +40,7 @@ struct Coordinator::Conn {
 
 Coordinator::Coordinator(CoordinatorOptions opts,
                          std::vector<driver::JobSpec> jobs)
-    : opts_(std::move(opts)), cache_(opts_.cache_capacity) {
+    : opts_(std::move(opts)) {
     jobs_.reserve(jobs.size());
     for (auto& spec : jobs) {
         JobState js;
@@ -76,16 +76,11 @@ bool Coordinator::start(std::string& error) {
     }
 
     if (!opts_.store_dir.empty()) {
-        incr::StoreOptions sopts;
-        sopts.dir = opts_.store_dir;
-        sopts.entail_budget = opts_.store_entail_budget;
-        auto store = std::make_unique<incr::ArtifactStore>(sopts);
+        auto store = std::make_unique<incr::ArtifactStore>(
+            incr::StoreOptions{opts_.store_dir});
         std::string store_error;
         if (store->open(store_error)) {
             store_ = std::move(store);
-            store_->load_entail(cache_);
-            for (const auto& [key, entry] : cache_.snapshot())
-                entail_have_.insert(entail_key_hash(key));
         } else {
             // Same degradation policy as batch: a broken store means a
             // cold coordinator, not a dead fleet.
@@ -341,6 +336,7 @@ JsonValue Coordinator::do_lease(const JsonValue& params, int& err_code,
     js.phase = Phase::Leased;
     ++js.lease_attempts;
     ++stats_.leases_issued;
+    ++wit->second.leases;
     (void)steal;
 
     result.set("state", JsonValue("job"));
@@ -434,6 +430,9 @@ JsonValue Coordinator::do_result(const JsonValue& params, Conn& conn) {
     }
     decide(idx, std::move(res));
     ++stats_.results_accepted;
+    if (auto wit = workers_.find(params.get_uint("worker_id"));
+        wit != workers_.end())
+        ++wit->second.results;
     result.set("accepted", JsonValue(true));
     result.set("duplicate", JsonValue(false));
     return result;
@@ -454,25 +453,16 @@ JsonValue Coordinator::do_sync(const JsonValue& params) {
             if (fp.is_string() && !store_->has_obligation(fp.str()))
                 want_obligations.push_back(fp);
     }
-    JsonValue want_entail = JsonValue::array();
-    if (const JsonValue* entail = params.find("entail");
-        entail && entail->is_array()) {
-        for (const JsonValue& h : entail->items())
-            if (h.is_string() && !entail_have_.count(h.str()))
-                want_entail.push_back(h);
-    }
     JsonValue result = JsonValue::object();
     result.set("schema", JsonValue(kDistSchema));
     result.set("want_verdicts", std::move(want_verdicts));
     result.set("want_obligations", std::move(want_obligations));
-    result.set("want_entail", std::move(want_entail));
     return result;
 }
 
 JsonValue Coordinator::do_push(const JsonValue& params) {
     uint64_t verdicts_merged = 0;
     uint64_t obligations_merged = 0;
-    uint64_t entail_merged = 0;
     uint64_t corrupt = 0;
     if (const JsonValue* verdicts = params.find("verdicts");
         verdicts && verdicts->is_array()) {
@@ -508,28 +498,11 @@ JsonValue Coordinator::do_push(const JsonValue& params) {
                 ++obligations_merged;
         }
     }
-    if (const JsonValue* entail = params.find("entail");
-        entail && entail->is_array()) {
-        for (const JsonValue& item : entail->items()) {
-            std::string key;
-            if (!hex_decode(item.get_string("key"), key) || key.empty()) {
-                ++corrupt;
-                continue;
-            }
-            solver::EntailCache::ProvenEntry entry;
-            entry.candidates = item.get_uint("candidates");
-            cache_.insert(key, entry);
-            entail_have_.insert(entail_key_hash(key));
-            ++entail_merged;
-        }
-    }
     stats_.sync_verdicts_received += verdicts_merged;
     stats_.sync_obligations_received += obligations_merged;
-    stats_.sync_entail_received += entail_merged;
     JsonValue result = JsonValue::object();
     result.set("verdicts_merged", JsonValue(verdicts_merged));
     result.set("obligations_merged", JsonValue(obligations_merged));
-    result.set("entail_merged", JsonValue(entail_merged));
     result.set("corrupt_skipped", JsonValue(corrupt));
     return result;
 }
@@ -620,7 +593,6 @@ void Coordinator::handle_payload(Conn& conn, const std::string& payload) {
 
 driver::BatchReport Coordinator::run() {
     driver::BatchReport report;
-    report.cache_enabled = true;
     report.store_enabled = store_ != nullptr;
     report.timeout_ms = opts_.timeout_ms;
     report.solver_backend = solver::backend_id(opts_.check.solver.backend);
@@ -629,7 +601,6 @@ driver::BatchReport Coordinator::run() {
         return report;
     }
 
-    solver::EntailCache::Stats cache_before = cache_.stats();
     incr::ArtifactStore::Stats store_before;
     if (store_)
         store_before = store_->stats();
@@ -736,11 +707,8 @@ driver::BatchReport Coordinator::run() {
         }
     }
 
-    // Whatever ended the loop, pooled entailments reach the store and
-    // undecided jobs report as infrastructure errors (never silently
-    // dropped).
-    if (store_)
-        store_->flush_entail(cache_);
+    // Whatever ended the loop, undecided jobs report as infrastructure
+    // errors (never silently dropped).
     for (size_t idx = 0; idx < jobs_.size(); ++idx) {
         if (jobs_[idx].phase == Phase::Done)
             continue;
@@ -759,21 +727,16 @@ driver::BatchReport Coordinator::run() {
     report.workers = stats_.workers_registered ? stats_.workers_registered
                                                : 1;
     report.wall_ms = ms_since(start);
-    report.cache = cache_.stats().since(cache_before);
-    if (store_) {
-        incr::ArtifactStore::Stats now = store_->stats();
-        report.store.verdict_hits =
-            now.verdict_hits - store_before.verdict_hits;
-        report.store.verdict_misses =
-            now.verdict_misses - store_before.verdict_misses;
-        report.store.verdict_stores =
-            now.verdict_stores - store_before.verdict_stores;
-        report.store.entail_loaded = now.entail_loaded;
-        report.store.entail_flushed = now.entail_flushed;
-        report.store.entail_evicted = now.entail_evicted;
-        report.store.corrupt_discarded = now.corrupt_discarded;
-    }
+    if (store_)
+        report.store = store_->stats().since(store_before);
     return report;
+}
+
+std::vector<WorkerSummary> Coordinator::worker_summaries() const {
+    std::vector<WorkerSummary> out(workers_.size());
+    for (const auto& [id, info] : workers_)
+        out[info.index] = {info.name, info.leases, info.results};
+    return out;
 }
 
 } // namespace svlc::dist

@@ -22,7 +22,6 @@
 
 #include "driver/driver.hpp"
 #include "serve/protocol.hpp"
-#include "solver/entail_cache.hpp"
 #include "support/net.hpp"
 
 #include <chrono>
@@ -31,7 +30,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace svlc::dist {
@@ -39,11 +37,9 @@ namespace svlc::dist {
 struct CoordinatorOptions {
     std::string socket_path;
     /// Merged store: verdicts write through as results arrive, pushed
-    /// entailments flush on exit. Empty disables persistence (results
-    /// are still aggregated and reported).
+    /// records merge in at sync time. Empty disables persistence
+    /// (results are still aggregated and reported).
     std::string store_dir;
-    size_t store_entail_budget = incr::StoreOptions{}.entail_budget;
-    size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
     /// Default per-job verify deadline shipped to workers; 0 = unlimited.
     uint64_t timeout_ms = 0;
     /// Lease deadline: a leased job with no result after this long is
@@ -76,7 +72,13 @@ struct CoordinatorStats {
     uint64_t store_skips = 0; ///< answered from the coordinator's store
     uint64_t sync_verdicts_received = 0;
     uint64_t sync_obligations_received = 0;
-    uint64_t sync_entail_received = 0;
+};
+
+/// What one registered worker did, in registration order.
+struct WorkerSummary {
+    std::string name;
+    uint64_t leases = 0;  ///< leases issued to it (steals included)
+    uint64_t results = 0; ///< results accepted (first result per job)
 };
 
 class Coordinator {
@@ -91,8 +93,8 @@ public:
     bool start(std::string& error);
 
     /// Serves until every job is decided and the fleet has drained (or
-    /// request_stop / a shutdown RPC). Flushes pooled entailments to the
-    /// store and unlinks the socket before returning.
+    /// request_stop / a shutdown RPC). Unlinks the socket before
+    /// returning.
     driver::BatchReport run();
 
     /// Thread-safe stop request; pending jobs report as errors.
@@ -102,6 +104,8 @@ public:
         return opts_.socket_path;
     }
     [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
+    /// Per-worker lease and result counts, by registration index.
+    [[nodiscard]] std::vector<WorkerSummary> worker_summaries() const;
 
 private:
     using Clock = std::chrono::steady_clock;
@@ -131,6 +135,8 @@ private:
     struct WorkerInfo {
         std::string name;
         uint64_t index = 0; ///< dense registration index, the shard id
+        uint64_t leases = 0;
+        uint64_t results = 0;
     };
 
     void handle_payload(Conn& conn, const std::string& payload);
@@ -156,10 +162,6 @@ private:
     CoordinatorOptions opts_;
     std::vector<JobState> jobs_;
     size_t done_count_ = 0;
-    solver::EntailCache cache_;
-    /// entail_key_hash of every key resident in cache_ — the sync
-    /// handshake's membership test.
-    std::unordered_set<std::string> entail_have_;
     std::unique_ptr<incr::ArtifactStore> store_;
     std::unique_ptr<net::UnixListener> listener_;
     std::list<std::unique_ptr<Conn>> conns_;

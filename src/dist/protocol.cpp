@@ -1,9 +1,5 @@
 #include "dist/protocol.hpp"
 
-#include "support/hash.hpp"
-
-#include <cstdio>
-
 namespace svlc::dist {
 
 std::string hex_encode(std::string_view bytes) {
@@ -45,13 +41,6 @@ bool hex_decode(std::string_view hex, std::string& out) {
     }
     out = std::move(decoded);
     return true;
-}
-
-std::string entail_key_hash(std::string_view key) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(key)));
-    return buf;
 }
 
 } // namespace svlc::dist

@@ -37,18 +37,17 @@
 //             are not UTF-8-safe JSON. First result per job wins; a
 //             late duplicate (from a steal or an expired lease) is
 //             acknowledged but discarded.
-//   sync      {worker_id, verdicts:[fp...], entail:["%016x"...]}
-//             → {want_verdicts:[fp...], want_entail:["%016x"...]}
-//             Delta-sync handshake: the worker offers what it has (full
-//             fingerprints; FNV-1a 64 hashes of entailment keys, which
-//             are kilobytes each) and the coordinator answers with only
-//             what it lacks.
+//   sync      {worker_id, verdicts:[fp...], obligations:[fp...]}
+//             → {want_verdicts:[fp...], want_obligations:[fp...]}
+//             Delta-sync handshake: a worker with a store offers the
+//             fingerprints of its job verdicts and obligation records,
+//             and the coordinator answers with only what it lacks.
 //   push      {worker_id, verdicts:[{fp,data(hex)}...],
-//              entail:[{key(hex),candidates}...]}
-//             → {verdicts_merged, entail_merged, corrupt_skipped}
-//             The offered entries themselves. Corrupt entries (bad hex,
-//             undecodable verdict payload) are counted and skipped,
-//             never fatal.
+//              obligations:[{fp,data(hex)}...]}
+//             → {verdicts_merged, obligations_merged, corrupt_skipped}
+//             The offered records themselves. Corrupt entries (bad hex,
+//             undecodable payload) are counted and skipped, never
+//             fatal.
 //   shutdown  {} → {ok}   (drops pending work; for operators, not
 //             workers — workers drain via lease state:"done")
 //
@@ -68,14 +67,10 @@ namespace svlc::dist {
 inline constexpr const char* kDistSchema = "svlc-dist/v1";
 
 /// Lowercase hex of arbitrary bytes — the wire encoding for store
-/// payloads and entailment keys, which are raw bytes (JsonWriter would
-/// lossily replace non-UTF-8 sequences with U+FFFD).
+/// payloads, which are raw bytes (JsonWriter would lossily replace
+/// non-UTF-8 sequences with U+FFFD).
 std::string hex_encode(std::string_view bytes);
 /// Inverse of hex_encode; false on odd length or a non-hex digit.
 bool hex_decode(std::string_view hex, std::string& out);
-
-/// "%016llx" of fnv1a64(key) — the compact identity entailment keys
-/// travel as during the sync handshake.
-std::string entail_key_hash(std::string_view key);
 
 } // namespace svlc::dist

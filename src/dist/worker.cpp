@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <map>
 #include <thread>
 #include <unistd.h>
 
@@ -18,7 +17,7 @@ namespace svlc::dist {
 
 namespace {
 
-/// Entries per push frame: entailment keys are kilobytes each, and one
+/// Records per push frame: diagnostics make a verdict kilobytes, and one
 /// frame must stay far below net::kMaxFramePayload.
 constexpr size_t kPushChunk = 128;
 
@@ -69,17 +68,12 @@ bool Worker::run(std::string& error) {
                 copts.solver.backend = *kind;
     }
 
-    solver::EntailCache cache(opts_.cache_capacity);
     std::unique_ptr<incr::ArtifactStore> store;
     if (!opts_.store_dir.empty()) {
-        incr::StoreOptions sopts;
-        sopts.dir = opts_.store_dir;
-        sopts.entail_budget = opts_.store_entail_budget;
-        store = std::make_unique<incr::ArtifactStore>(sopts);
+        store = std::make_unique<incr::ArtifactStore>(
+            incr::StoreOptions{opts_.store_dir});
         std::string store_error;
-        if (store->open(store_error)) {
-            store->load_entail(cache);
-        } else {
+        if (!store->open(store_error)) {
             std::fprintf(stderr, "svlc worker: store disabled: %s\n",
                          store_error.c_str());
             store.reset();
@@ -170,7 +164,7 @@ bool Worker::run(std::string& error) {
             for (int attempt = 0; attempt < 2; ++attempt) {
                 try {
                     res = driver::verify_text(comp, spec, text,
-                                              default_timeout_ms, &cache,
+                                              default_timeout_ms,
                                               store.get());
                     break;
                 } catch (const std::exception& e) {
@@ -225,36 +219,21 @@ bool Worker::run(std::string& error) {
             ++stats_.results_accepted;
     }
 
-    // Delta-sync: offer everything local by identity (fingerprints; key
-    // hashes for entailments, whose keys are kilobytes), push only what
-    // the coordinator says it lacks.
-    std::vector<std::string> local_fps;
-    std::vector<std::string> local_obs;
-    if (store) {
-        local_fps = store->list_verdicts();
-        local_obs = store->list_obligations();
-    }
-    auto entries = cache.snapshot();
-    std::map<std::string, std::pair<std::string,
-                                    solver::EntailCache::ProvenEntry>>
-        by_hash;
-    for (auto& [key, entry] : entries)
-        by_hash.emplace(entail_key_hash(key), std::make_pair(key, entry));
-
+    // Delta-sync: offer every local record by fingerprint, push only what
+    // the coordinator says it lacks. A store-less worker has nothing to
+    // offer.
+    if (!store)
+        return true;
     JsonValue sync = JsonValue::object();
     sync.set("worker_id", JsonValue(worker_id));
     JsonValue fps = JsonValue::array();
-    for (const std::string& fp : local_fps)
+    for (const std::string& fp : store->list_verdicts())
         fps.push_back(JsonValue(fp));
     sync.set("verdicts", std::move(fps));
     JsonValue obs = JsonValue::array();
-    for (const std::string& fp : local_obs)
+    for (const std::string& fp : store->list_obligations())
         obs.push_back(JsonValue(fp));
     sync.set("obligations", std::move(obs));
-    JsonValue hashes = JsonValue::array();
-    for (const auto& [hash, kv] : by_hash)
-        hashes.push_back(JsonValue(hash));
-    sync.set("entail", std::move(hashes));
     if (!client->call("sync", sync, response, error))
         return false;
     if (response.has_error) {
@@ -274,16 +253,9 @@ bool Worker::run(std::string& error) {
         for (const JsonValue& fp : w->items())
             if (fp.is_string())
                 want_obligations.push_back(fp.str());
-    std::vector<std::string> want_entail;
-    if (const JsonValue* w = response.result.find("want_entail");
-        w && w->is_array())
-        for (const JsonValue& h : w->items())
-            if (h.is_string())
-                want_entail.push_back(h.str());
 
-    size_t vi = 0, oi = 0, ei = 0;
-    while (vi < want_verdicts.size() || oi < want_obligations.size() ||
-           ei < want_entail.size()) {
+    size_t vi = 0, oi = 0;
+    while (vi < want_verdicts.size() || oi < want_obligations.size()) {
         JsonValue push = JsonValue::object();
         push.set("worker_id", JsonValue(worker_id));
         JsonValue verdicts = JsonValue::array();
@@ -314,26 +286,9 @@ bool Worker::run(std::string& error) {
             ++stats_.pushed_obligations;
         }
         push.set("obligations", std::move(push_obs));
-        JsonValue entail = JsonValue::array();
-        for (size_t n = 0; ei < want_entail.size() && n < kPushChunk;
-             ++ei, ++n) {
-            auto it = by_hash.find(want_entail[ei]);
-            if (it == by_hash.end())
-                continue;
-            JsonValue item = JsonValue::object();
-            item.set("key", JsonValue(hex_encode(it->second.first)));
-            item.set("candidates",
-                     JsonValue(it->second.second.candidates));
-            entail.push_back(std::move(item));
-            ++stats_.pushed_entail;
-        }
-        push.set("entail", std::move(entail));
         if (!client->call("push", push, response, error))
             return false;
     }
-
-    if (store)
-        store->flush_entail(cache);
     return true;
 }
 

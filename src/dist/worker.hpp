@@ -1,8 +1,8 @@
 // The distributed batch worker (`svlc worker`): connects to a
 // coordinator socket (dist/protocol.hpp), registers, then loops
 // lease → verify → result until the coordinator answers "done", at
-// which point it delta-syncs its local store and entailment cache up to
-// the coordinator and exits.
+// which point it delta-syncs its local store up to the coordinator and
+// exits.
 //
 // A worker is a plain blocking client of the coordinator — it holds no
 // open request while verifying, so a wedged job never wedges the
@@ -14,8 +14,6 @@
 #pragma once
 
 #include "check/typecheck.hpp"
-#include "incr/store.hpp"
-#include "solver/entail_cache.hpp"
 #include "support/net.hpp"
 
 #include <cstdint>
@@ -29,8 +27,6 @@ struct WorkerOptions {
     /// Optional worker-local store: answers repeat jobs without
     /// re-verifying and is the source half of the final delta-sync.
     std::string store_dir;
-    size_t store_entail_budget = incr::StoreOptions{}.entail_budget;
-    size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
     /// Display name sent at register time (defaults to "worker-<pid>").
     std::string name;
     /// Reconnect policy while the coordinator is still starting up.
@@ -46,7 +42,6 @@ struct WorkerStats {
     uint64_t results_duplicate = 0;
     uint64_t pushed_verdicts = 0;
     uint64_t pushed_obligations = 0;
-    uint64_t pushed_entail = 0;
 };
 
 class Worker {

@@ -54,12 +54,10 @@ const char* job_status_name(JobStatus s) {
 }
 
 VerificationDriver::VerificationDriver(DriverOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache_capacity) {
+    : opts_(std::move(opts)) {
     if (!opts_.store_dir.empty()) {
-        incr::StoreOptions sopts;
-        sopts.dir = opts_.store_dir;
-        sopts.entail_budget = opts_.store_entail_budget;
-        auto store = std::make_unique<incr::ArtifactStore>(sopts);
+        auto store = std::make_unique<incr::ArtifactStore>(
+            incr::StoreOptions{opts_.store_dir});
         std::string error;
         if (store->open(error)) {
             store_ = std::move(store);
@@ -73,7 +71,6 @@ VerificationDriver::VerificationDriver(DriverOptions opts)
 
 JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
                       const std::string& text, uint64_t default_timeout_ms,
-                      solver::EntailCache* cache,
                       incr::ArtifactStore* store) {
     JobResult res;
     res.name = spec.name;
@@ -94,7 +91,6 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
 
     comp.options().top = spec.top;
     comp.options().check.solver.deadline = deadline;
-    comp.options().check.solver.cache = cache;
     comp.options().check.oracle = nullptr;
     comp.reload_text(text, spec.name);
     if (!comp.elaborate()) {
@@ -202,8 +198,7 @@ JobResult VerificationDriver::run_job_once(const JobSpec& spec,
     pipeline::CompilationOptions popts;
     popts.check = opts_.check;
     pipeline::Compilation comp(std::move(popts));
-    return verify_text(comp, spec, text, opts_.timeout_ms,
-                       opts_.use_cache ? &cache_ : nullptr, store_.get());
+    return verify_text(comp, spec, text, opts_.timeout_ms, store_.get());
 }
 
 JobResult VerificationDriver::run_job(const JobSpec& spec) {
@@ -265,19 +260,11 @@ JobResult VerificationDriver::run_job(const JobSpec& spec) {
 
 BatchReport VerificationDriver::run(const std::vector<JobSpec>& jobs) {
     BatchReport report;
-    report.cache_enabled = opts_.use_cache;
     report.store_enabled = store_ != nullptr;
     report.timeout_ms = opts_.timeout_ms;
     report.solver_backend = solver::backend_id(opts_.check.solver.backend);
     report.results.resize(jobs.size());
 
-    // Warm the in-memory entailment cache from disk once per driver;
-    // later runs in the same process are already warmer than the store.
-    if (store_ && !store_loaded_) {
-        store_loaded_ = true;
-        if (opts_.use_cache)
-            store_->load_entail(cache_);
-    }
     incr::ArtifactStore::Stats store_before;
     if (store_)
         store_before = store_->stats();
@@ -291,7 +278,6 @@ BatchReport VerificationDriver::run(const std::vector<JobSpec>& jobs) {
     workers = std::min(workers, jobs.size() ? jobs.size() : size_t{1});
     report.workers = workers;
 
-    solver::EntailCache::Stats cache_before = cache_.stats();
     Clock::time_point start = Clock::now();
 
     // Pull-based pool with stable result slots: each worker claims the
@@ -317,33 +303,9 @@ BatchReport VerificationDriver::run(const std::vector<JobSpec>& jobs) {
             th.join();
     }
 
-    // Persist what this run learned: newly decided Proven entries merge
-    // into the on-disk cache (budgeted, oldest first out).
-    if (store_ && opts_.use_cache)
-        store_->flush_entail(cache_);
-
     report.wall_ms = ms_since(start);
-    report.cache = cache_.stats().since(cache_before);
-    if (store_) {
-        incr::ArtifactStore::Stats now = store_->stats();
-        report.store.verdict_hits =
-            now.verdict_hits - store_before.verdict_hits;
-        report.store.verdict_misses =
-            now.verdict_misses - store_before.verdict_misses;
-        report.store.verdict_stores =
-            now.verdict_stores - store_before.verdict_stores;
-        report.store.obligation_hits =
-            now.obligation_hits - store_before.obligation_hits;
-        report.store.obligation_misses =
-            now.obligation_misses - store_before.obligation_misses;
-        report.store.obligation_stores =
-            now.obligation_stores - store_before.obligation_stores;
-        report.store.entail_loaded = now.entail_loaded;
-        report.store.entail_flushed = now.entail_flushed;
-        report.store.entail_evicted = now.entail_evicted;
-        report.store.corrupt_discarded = now.corrupt_discarded;
-        report.store.legacy_discarded = now.legacy_discarded;
-    }
+    if (store_)
+        report.store = store_->stats().since(store_before);
     return report;
 }
 

@@ -1,15 +1,14 @@
 // Batch-verification driver: runs the full parse → elaborate →
 // well-formedness → typecheck pipeline over a *set* of jobs on a worker
-// thread pool, sharing one memoizing EntailCache across all of them.
+// thread pool.
 //
 // Design points:
 //   * Deterministic aggregation — results land in input order regardless
-//     of which worker finishes first, and only Proven (witness-free)
-//     entailment verdicts are shared through the cache, so a batch's
-//     report is byte-identical for --jobs 1 and --jobs 8.
+//     of which worker finishes first, so a batch's report is
+//     byte-identical for --jobs 1 and --jobs 8.
 //   * Per-job isolation — each job owns its SourceManager, diagnostics,
 //     design, and entailment engine; the only shared state is the
-//     thread-safe cache. A cooperative per-job deadline cuts off
+//     optional persistent store. A cooperative per-job deadline cuts off
 //     enumeration blow-ups so one pathological design cannot stall the
 //     batch.
 //   * Retry-once — a job that throws (OOM, filesystem race) is retried
@@ -19,7 +18,6 @@
 #include "check/typecheck.hpp"
 #include "incr/store.hpp"
 #include "pipeline/compilation.hpp"
-#include "solver/entail_cache.hpp"
 
 #include <cstdint>
 #include <memory>
@@ -90,24 +88,16 @@ struct DriverOptions {
     size_t jobs = 0;
     /// Per-job deadline in milliseconds; 0 = unlimited.
     uint64_t timeout_ms = 0;
-    /// Share a memoizing entailment cache across jobs.
-    bool use_cache = true;
-    size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
     /// Persistent store directory (incr/store.hpp); empty disables
     /// persistence. When set, unchanged jobs are answered from stored
-    /// verdicts and the entailment cache survives across processes.
+    /// verdicts and edited jobs replay unchanged obligations.
     std::string store_dir;
-    /// Proven entries kept in the persisted entailment cache.
-    size_t store_entail_budget = incr::StoreOptions{}.entail_budget;
     /// Checker configuration applied to every job (mode, solver budgets).
     check::CheckOptions check;
 };
 
 struct BatchReport {
     std::vector<JobResult> results;
-    /// Cache counter deltas for this run plus the final entry count.
-    solver::EntailCache::Stats cache;
-    bool cache_enabled = true;
     /// Persistent-store counter deltas for this run (when enabled).
     incr::ArtifactStore::Stats store;
     bool store_enabled = false;
@@ -127,12 +117,13 @@ struct BatchReport {
     /// Aggregated solver stats over all jobs.
     [[nodiscard]] solver::EntailmentEngine::Stats solver_totals() const;
 
-    /// Machine-readable report (schema svlc-batch-report/v2; v2 added
+    /// Machine-readable report (schema svlc-batch-report/v3; v2 added
     /// per-obligation records with stable ids and witnesses, and the
-    /// solver backend in the config block). With `full` off, timings and
-    /// solver/cache telemetry are omitted and the output depends only on
-    /// the verification verdicts — byte-identical across runs, worker
-    /// counts, and warm/cold store states.
+    /// solver backend in the config block; v3 dropped the entailment
+    /// cache block). With `full` off, timings and solver telemetry are
+    /// omitted and the output depends only on the verification verdicts
+    /// — byte-identical across runs, worker counts, and warm/cold store
+    /// states.
     [[nodiscard]] std::string to_json(bool full = true) const;
     /// Human-readable per-job table + totals; deterministic (no timings).
     [[nodiscard]] std::string summary() const;
@@ -142,10 +133,11 @@ struct BatchReport {
 /// serve daemon: (re)loads `text` into `comp` — whose options carry the
 /// checker configuration — runs the pipeline, and fills a JobResult with
 /// verdict, per-obligation records, solver stats, diagnostics, and
-/// timings. Installs spec.top, the per-run deadline (spec.timeout_ms,
-/// falling back to `default_timeout_ms`; 0 = unlimited), and `cache`
-/// (may be null) into comp's options before reloading, so a serve
-/// session can call this repeatedly on one hot Compilation.
+/// timings. Installs spec.top and the per-run deadline (spec.timeout_ms,
+/// falling back to `default_timeout_ms`; 0 = unlimited) into comp's
+/// options before reloading, so a serve session can call this
+/// repeatedly on one hot Compilation. Any entailment cache comes in
+/// through comp.options().check.solver.cache.
 ///
 /// When `store` is non-null, an incr::ObligationReplayer is installed for
 /// the check phase: obligations whose structural fingerprint has a stored
@@ -155,7 +147,6 @@ struct BatchReport {
 /// obligations_replayed/obligations_solved telemetry differs.
 JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
                       const std::string& text, uint64_t default_timeout_ms,
-                      solver::EntailCache* cache,
                       incr::ArtifactStore* store = nullptr);
 
 /// The hunt-job counterpart of verify_text: elaborates `text` and runs
@@ -188,10 +179,9 @@ public:
     explicit VerificationDriver(DriverOptions opts = {});
 
     /// Runs every job and aggregates results in input order. Can be
-    /// called repeatedly; the entailment cache stays warm across runs.
+    /// called repeatedly.
     BatchReport run(const std::vector<JobSpec>& jobs);
 
-    [[nodiscard]] solver::EntailCache& cache() { return cache_; }
     /// Non-null when DriverOptions::store_dir is set and the store
     /// opened successfully.
     [[nodiscard]] incr::ArtifactStore* store() { return store_.get(); }
@@ -201,9 +191,7 @@ private:
     JobResult run_job_once(const JobSpec& spec, const std::string& text);
 
     DriverOptions opts_;
-    solver::EntailCache cache_;
     std::unique_ptr<incr::ArtifactStore> store_;
-    bool store_loaded_ = false;
 };
 
 // --- backend differential harness ------------------------------------------
@@ -224,7 +212,7 @@ struct BackendDiff {
 };
 
 /// Runs every job once on the enum reference and once on cdcl — each run
-/// with its own driver and cache, no persistent store — and returns every
+/// with its own driver, no persistent store — and returns every
 /// disagreement (empty = the backend contract holds).
 /// `base` supplies checker budgets and worker count; its backend and
 /// store settings are overridden.

@@ -36,8 +36,6 @@ solver::EntailmentEngine::Stats BatchReport::solver_totals() const {
         t.syntactic_hits += r.solver.syntactic_hits;
         t.enumerations += r.solver.enumerations;
         t.total_candidates += r.solver.total_candidates;
-        t.cache_hits += r.solver.cache_hits;
-        t.cache_misses += r.solver.cache_misses;
         t.conflicts += r.solver.conflicts;
         t.propagations += r.solver.propagations;
         t.learned_clauses += r.solver.learned_clauses;
@@ -53,11 +51,6 @@ void put_solver_stats(JsonWriter& w,
     w.begin_object();
     w.kv("queries", s.queries);
     w.kv("syntactic_hits", s.syntactic_hits);
-    // Per-job attribution: these come from the job's own engine, so a
-    // design's cache efficacy is visible even though the cache itself is
-    // shared batch-wide.
-    w.kv("cache_hits", s.cache_hits);
-    w.kv("cache_misses", s.cache_misses);
     w.kv("enumerations", s.enumerations);
     w.kv("candidates", s.total_candidates);
     // CDCL search telemetry; identically zero for the enum reference,
@@ -72,20 +65,18 @@ void put_solver_stats(JsonWriter& w,
 } // namespace
 
 std::string BatchReport::to_json(bool full) const {
-    // `full` adds timings and solver/cache telemetry. Those are
-    // scheduling-dependent: two workers can race to decide the same
-    // memoized query, shifting a count from cache_hits to enumerations.
-    // With `full` off, every emitted field is a verification verdict —
-    // invariant across worker counts, cache population order, and runs.
+    // `full` adds timings, store provenance and solver telemetry, which
+    // depend on the machine and the store's history. With `full` off,
+    // every emitted field is a verification verdict — invariant across
+    // worker counts, store states, and runs.
     JsonWriter w;
     w.begin_object();
-    w.kv("schema", "svlc-batch-report/v2");
+    w.kv("schema", "svlc-batch-report/v3");
 
     if (full) {
         w.key("config").begin_object();
         w.kv("workers", workers);
         w.kv("timeout_ms", timeout_ms);
-        w.kv("cache", cache_enabled);
         w.kv("solver", solver_backend);
         w.end_object();
     }
@@ -151,15 +142,6 @@ std::string BatchReport::to_json(bool full) const {
     w.end_object();
 
     if (full) {
-        w.key("cache").begin_object();
-        w.kv("enabled", cache_enabled);
-        w.kv("hits", cache.hits);
-        w.kv("misses", cache.misses);
-        w.kv("inserts", cache.inserts);
-        w.kv("evictions", cache.evictions);
-        w.kv("entries", cache.entries);
-        w.kv("hit_rate", cache.hit_rate(), 4);
-        w.end_object();
         w.key("store").begin_object();
         w.kv("enabled", store_enabled);
         w.kv("hits", store.verdict_hits);
@@ -168,9 +150,6 @@ std::string BatchReport::to_json(bool full) const {
         w.kv("obligation_hits", store.obligation_hits);
         w.kv("obligation_misses", store.obligation_misses);
         w.kv("obligation_stores", store.obligation_stores);
-        w.kv("entail_loaded", store.entail_loaded);
-        w.kv("entail_flushed", store.entail_flushed);
-        w.kv("entail_evicted", store.entail_evicted);
         w.kv("corrupt_discarded", store.corrupt_discarded);
         w.kv("legacy_discarded", store.legacy_discarded);
         w.end_object();
@@ -204,8 +183,7 @@ std::string BatchReport::summary() const {
     // Worker-count-invariant only without a store: replayed obligations
     // never reach the solver, so with a store this line depends on the
     // store's history (a fleet's workers replay duplicate obligations).
-    // Cached/enumerated splits race under concurrency and are reported
-    // via stderr and full JSON.
+    // Enumeration and search counters go to stderr and full JSON.
     std::snprintf(buf, sizeof buf, "solver: %llu queries, %llu syntactic\n",
                   static_cast<unsigned long long>(totals.queries),
                   static_cast<unsigned long long>(totals.syntactic_hits));

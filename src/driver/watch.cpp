@@ -60,8 +60,8 @@ bool stat_proves_unchanged(const StatSig& prev, const StatSig& cur,
 
 int run_watch(const std::string& target, const WatchOptions& opts,
               std::FILE* out, std::FILE* err) {
-    // One driver for the whole session: the entailment cache stays warm
-    // across iterations, and the store (if any) is loaded once.
+    // One driver for the whole session: the store (if any) is opened
+    // once.
     VerificationDriver drv(opts.driver);
 
     std::map<std::string, WatchedJob> state; // keyed by job name

@@ -4,8 +4,8 @@
 // deleted .svlc files are picked up), file jobs are stat'ed, and only
 // files whose mtime/size moved are re-read and re-hashed. Jobs whose
 // *fingerprint* changed (content hash ⊔ top ⊔ checker configuration) are
-// re-verified through the batch driver — sharing its warm entailment
-// cache and, when a store is configured, its persistent verdicts — and a
+// re-verified through the batch driver — sharing, when a store is
+// configured, its persistent verdicts and obligation records — and a
 // per-iteration delta report (dirty set, verdict transitions, timing) is
 // printed. Unchanged jobs cost one stat() each.
 #pragma once
@@ -17,7 +17,7 @@
 namespace svlc::driver {
 
 struct WatchOptions {
-    /// Driver configuration (workers, timeouts, cache, store).
+    /// Driver configuration (workers, timeouts, store).
     DriverOptions driver;
     /// Poll period between iterations.
     uint64_t interval_ms = 500;

@@ -81,6 +81,14 @@ uint64_t TaintSim::eval_taint(const Expr& e, ProcessKind kind) const {
         if (tidx != 0)
             return wmask; // secret-dependent address selects the element
         uint64_t idx = sim_.evaluate(*e.index).value() % taints.size();
+        if (e.primed) {
+            // Pending view, as in Simulator::eval: the last staged write
+            // to this element wins.
+            for (auto it = array_writes_.rbegin(); it != array_writes_.rend();
+                 ++it)
+                if (it->net == e.net && it->index == idx)
+                    return it->taint & wmask;
+        }
         return taints[idx] & wmask;
     }
     case ExprKind::Slice: {

@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
 namespace svlc::incr {
@@ -111,10 +109,6 @@ std::string ArtifactStore::obligation_path(const std::string& fp) const {
     return (fs::path(opts_.dir) / "v2" / "obligations" / fp.substr(0, 2) /
             fp)
         .string();
-}
-
-std::string ArtifactStore::entail_path() const {
-    return (fs::path(opts_.dir) / "v2" / "entail.cache").string();
 }
 
 bool ArtifactStore::open(std::string& error) {
@@ -399,103 +393,6 @@ std::vector<std::string> ArtifactStore::list_obligations() const {
     return list_sharded(fs::path(opts_.dir) / "v2" / "obligations");
 }
 
-namespace {
-
-using EntailEntries =
-    std::vector<std::pair<std::string, solver::EntailCache::ProvenEntry>>;
-
-/// Parses an entail payload; false on any malformation.
-bool parse_entail(const std::string& payload, EntailEntries& out) {
-    Cursor c{payload};
-    uint64_t count = c.tagged_uint("count");
-    for (uint64_t i = 0; i < count && c.ok; ++i) {
-        // "<keylen> <candidates>\n<key bytes>\n" — keys are the solver's
-        // canonical full-text keys and contain newlines, hence the
-        // length prefix.
-        std::string meta = c.line();
-        size_t sp = meta.find(' ');
-        if (!c.ok || sp == std::string::npos) {
-            c.ok = false;
-            break;
-        }
-        char *end1 = nullptr, *end2 = nullptr;
-        uint64_t keylen = std::strtoull(meta.c_str(), &end1, 10);
-        uint64_t candidates = std::strtoull(meta.c_str() + sp + 1, &end2, 10);
-        if (end1 != meta.c_str() + sp || !end2 || *end2) {
-            c.ok = false;
-            break;
-        }
-        std::string key = c.bytes(keylen);
-        if (c.bytes(1) != "\n")
-            c.ok = false;
-        out.emplace_back(std::move(key),
-                         solver::EntailCache::ProvenEntry{candidates});
-    }
-    return c.ok && c.pos == payload.size();
-}
-
-std::string serialize_entail(const EntailEntries& entries) {
-    std::string payload;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "count %zu\n", entries.size());
-    payload += buf;
-    for (const auto& [key, entry] : entries) {
-        std::snprintf(buf, sizeof buf, "%zu %llu\n", key.size(),
-                      static_cast<unsigned long long>(entry.candidates));
-        payload += buf;
-        payload += key;
-        payload += '\n';
-    }
-    return payload;
-}
-
-} // namespace
-
-size_t ArtifactStore::load_entail(solver::EntailCache& cache) {
-    auto payload = read_payload(entail_path(), "entail");
-    if (!payload)
-        return 0;
-    EntailEntries entries;
-    if (!parse_entail(*payload, entries)) {
-        discard(entail_path());
-        return 0;
-    }
-    for (const auto& [key, entry] : entries)
-        cache.insert(key, entry);
-    entail_loaded_.fetch_add(entries.size(), std::memory_order_relaxed);
-    return entries.size();
-}
-
-size_t ArtifactStore::flush_entail(const solver::EntailCache& cache) {
-    // Merge: file order is age order. Entries already on disk keep their
-    // position (oldest first); keys new to the store append at the tail;
-    // compaction drops from the front once past the budget.
-    EntailEntries merged;
-    if (auto payload = read_payload(entail_path(), "entail")) {
-        if (!parse_entail(*payload, merged)) {
-            merged.clear();
-            discard(entail_path());
-        }
-    }
-    std::unordered_set<std::string> seen;
-    seen.reserve(merged.size());
-    for (const auto& [key, entry] : merged)
-        seen.insert(key);
-    for (auto& [key, entry] : cache.snapshot())
-        if (seen.insert(key).second)
-            merged.emplace_back(std::move(key), entry);
-    if (merged.size() > opts_.entail_budget) {
-        size_t drop = merged.size() - opts_.entail_budget;
-        merged.erase(merged.begin(),
-                     merged.begin() + static_cast<ptrdiff_t>(drop));
-        entail_evicted_.fetch_add(drop, std::memory_order_relaxed);
-    }
-    if (!write_payload(entail_path(), "entail", serialize_entail(merged)))
-        return 0;
-    entail_flushed_.store(merged.size(), std::memory_order_relaxed);
-    return merged.size();
-}
-
 std::optional<MergeStats>
 ArtifactStore::merge_from(const std::string& peer_dir, std::string& error) {
     MergeStats ms;
@@ -557,53 +454,19 @@ ArtifactStore::merge_from(const std::string& peer_dir, std::string& error) {
         if (store_obligation(fp, o))
             ++ms.obligations_added;
     }
-
-    // Entailment entries: a commutative merge — union of keys, smaller
-    // candidate count wins a (should-never-differ) collision — then
-    // canonical key order. Age order is meaningless across a fleet, and
-    // normalizing makes merge(A,B) and merge(B,A) byte-identical; the
-    // budget then drops deterministically from the front.
-    std::map<std::string, solver::EntailCache::ProvenEntry> merged;
-    EntailEntries local;
-    if (auto payload = read_payload(entail_path(), "entail")) {
-        if (!parse_entail(*payload, local)) {
-            local.clear();
-            discard(entail_path());
-        }
-    }
-    for (auto& [key, entry] : local)
-        merged.emplace(std::move(key), entry);
-    std::string peer_payload;
-    PayloadState st = read_payload_raw((peer_v2 / "entail.cache").string(),
-                                       "entail", peer_payload);
-    EntailEntries peer_entries;
-    if (st == PayloadState::Corrupt ||
-        (st == PayloadState::Ok &&
-         !parse_entail(peer_payload, peer_entries))) {
-        ++ms.corrupt_skipped;
-        peer_entries.clear();
-    }
-    for (auto& [key, entry] : peer_entries) {
-        auto [it, inserted] = merged.emplace(std::move(key), entry);
-        if (inserted) {
-            ++ms.entail_added;
-        } else {
-            ++ms.entail_present;
-            if (entry.candidates < it->second.candidates)
-                it->second = entry;
-        }
-    }
-    EntailEntries out(merged.begin(), merged.end());
-    if (out.size() > opts_.entail_budget) {
-        size_t drop = out.size() - opts_.entail_budget;
-        out.erase(out.begin(), out.begin() + static_cast<ptrdiff_t>(drop));
-        ms.entail_evicted += drop;
-        entail_evicted_.fetch_add(drop, std::memory_order_relaxed);
-    }
-    if (!local.empty() || !out.empty())
-        if (write_payload(entail_path(), "entail", serialize_entail(out)))
-            entail_flushed_.store(out.size(), std::memory_order_relaxed);
     return ms;
+}
+
+ArtifactStore::Stats
+ArtifactStore::Stats::since(const Stats& base) const {
+    Stats d = *this;
+    d.verdict_hits -= base.verdict_hits;
+    d.verdict_misses -= base.verdict_misses;
+    d.verdict_stores -= base.verdict_stores;
+    d.obligation_hits -= base.obligation_hits;
+    d.obligation_misses -= base.obligation_misses;
+    d.obligation_stores -= base.obligation_stores;
+    return d;
 }
 
 ArtifactStore::Stats ArtifactStore::stats() const {
@@ -616,9 +479,6 @@ ArtifactStore::Stats ArtifactStore::stats() const {
         obligation_misses_.load(std::memory_order_relaxed);
     s.obligation_stores =
         obligation_stores_.load(std::memory_order_relaxed);
-    s.entail_loaded = entail_loaded_.load(std::memory_order_relaxed);
-    s.entail_flushed = entail_flushed_.load(std::memory_order_relaxed);
-    s.entail_evicted = entail_evicted_.load(std::memory_order_relaxed);
     s.corrupt_discarded =
         corrupt_discarded_.load(std::memory_order_relaxed);
     s.legacy_discarded = legacy_discarded_.load(std::memory_order_relaxed);

@@ -7,10 +7,7 @@
 //       parsing a single byte of its source;
 //   (b) per-obligation verdict records, keyed by the structural
 //       obligation fingerprint, so an *edited* job replays every proof
-//       whose dependency slice the edit did not touch (the v2 addition);
-//   (c) the memoizing entailment cache (Proven entries only, the
-//       existing canonical full-text keys), loaded at batch start and
-//       merged/compacted at batch end.
+//       whose dependency slice the edit did not touch (the v2 addition).
 //
 // Layout under the store root (all children of a `v2/` directory so a
 // future format can live alongside without a migration):
@@ -20,7 +17,10 @@
 //                                  sharded by the first two hex chars
 //   <root>/v2/obligations/ab/<fp>  one obligation record per obligation
 //                                  fingerprint, same sharding
-//   <root>/v2/entail.cache         serialized Proven entries, oldest first
+//
+// Stores written before the entailment cache left the store may still
+// hold a `<root>/v2/entail.cache` file. Nothing reads, merges or deletes
+// it; the verdict and obligation records beside it stay valid.
 //
 // A legacy `<root>/v1/` tree (the pre-obligation schema) is detected by
 // its directory marker and discarded wholesale on open() — rebuilt, never
@@ -37,12 +37,10 @@
 //
 // Thread safety: verdict/obligation loads/stores may be called
 // concurrently from driver workers (distinct files; the shared counters
-// are atomics). load_entail/flush_entail are batch-scoped and must be
-// called from one thread at a time.
+// are atomics).
 #pragma once
 
 #include "pipeline/compilation.hpp"
-#include "solver/entail_cache.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -74,9 +72,6 @@ struct StoredVerdict {
 
 struct StoreOptions {
     std::string dir;
-    /// Maximum Proven entries kept in entail.cache after a flush; the
-    /// oldest entries (earliest in file order) are evicted first.
-    size_t entail_budget = size_t{1} << 16;
 };
 
 /// Canonical byte serialization of a StoredVerdict — the payload of a
@@ -122,12 +117,9 @@ struct MergeStats {
     uint64_t verdicts_present = 0; ///< identical fingerprint already local
     uint64_t obligations_added = 0;
     uint64_t obligations_present = 0;
-    uint64_t entail_added = 0;
-    uint64_t entail_present = 0;
-    /// Peer files/entries that failed validation — skipped, never fatal,
-    /// and never deleted (the peer store is read-only input).
+    /// Peer files that failed validation — skipped, never fatal, and
+    /// never deleted (the peer store is read-only input).
     uint64_t corrupt_skipped = 0;
-    uint64_t entail_evicted = 0; ///< dropped to respect entail_budget
 };
 
 class ArtifactStore {
@@ -139,13 +131,14 @@ public:
         uint64_t obligation_hits = 0;
         uint64_t obligation_misses = 0;
         uint64_t obligation_stores = 0;
-        uint64_t entail_loaded = 0;
-        uint64_t entail_flushed = 0;
-        uint64_t entail_evicted = 0;
         /// Corrupt or version-mismatched files discarded (and deleted).
         uint64_t corrupt_discarded = 0;
         /// A whole legacy (`svlc-store/v1`) tree discarded on open().
         uint64_t legacy_discarded = 0;
+
+        /// Hit/miss/store counters as deltas from `base`; the discard
+        /// counters stay totals, since open() discards before any run.
+        [[nodiscard]] Stats since(const Stats& base) const;
     };
 
     explicit ArtifactStore(StoreOptions opts);
@@ -176,28 +169,16 @@ public:
     [[nodiscard]] bool has_obligation(const std::string& fp) const;
     [[nodiscard]] std::vector<std::string> list_obligations() const;
 
-    /// Merges another store's job verdicts, obligation records, and
-    /// Proven entailments into this one. The peer (rooted at `peer_dir`,
-    /// same layout) is read-only:
-    /// corrupt peer entries are counted in MergeStats::corrupt_skipped
-    /// and skipped, never deleted, never fatal. Verdicts are content-
-    /// addressed, so an identical fingerprint dedups; differing entail
-    /// candidates under one key keep the smaller count. The merged
-    /// entail.cache is normalized to canonical key order before the
-    /// budget is applied, so the merged store is byte-identical no
-    /// matter which order peers are merged in. nullopt (with `error`)
-    /// only when the peer store root is missing or unreadable.
+    /// Merges another store's job verdicts and obligation records into
+    /// this one. The peer (rooted at `peer_dir`, same layout) is
+    /// read-only: corrupt peer entries are counted in
+    /// MergeStats::corrupt_skipped and skipped, never deleted, never
+    /// fatal. Records are content-addressed, so an identical fingerprint
+    /// dedups and the merged store is byte-identical no matter which
+    /// order peers are merged in. nullopt (with `error`) only when the
+    /// peer store root is missing or unreadable.
     std::optional<MergeStats> merge_from(const std::string& peer_dir,
                                          std::string& error);
-
-    /// Inserts every persisted Proven entry into `cache`. Returns the
-    /// number loaded; 0 (after discarding) when the file is corrupt.
-    size_t load_entail(solver::EntailCache& cache);
-    /// Merges `cache`'s current entries into the on-disk file: existing
-    /// file order is preserved (oldest first), unseen keys append at the
-    /// tail, and the front is dropped once past the entry budget.
-    /// Returns the number of entries written.
-    size_t flush_entail(const solver::EntailCache& cache);
 
     [[nodiscard]] Stats stats() const;
     [[nodiscard]] const std::string& dir() const { return opts_.dir; }
@@ -205,7 +186,6 @@ public:
 private:
     std::string verdict_path(const std::string& fp) const;
     std::string obligation_path(const std::string& fp) const;
-    std::string entail_path() const;
     /// Reads a store file, validates header + checksum; empty optional →
     /// missing or discarded-as-corrupt (counted & deleted).
     std::optional<std::string> read_payload(const std::string& path,
@@ -221,9 +201,6 @@ private:
     std::atomic<uint64_t> obligation_hits_{0};
     std::atomic<uint64_t> obligation_misses_{0};
     std::atomic<uint64_t> obligation_stores_{0};
-    std::atomic<uint64_t> entail_loaded_{0};
-    std::atomic<uint64_t> entail_flushed_{0};
-    std::atomic<uint64_t> entail_evicted_{0};
     std::atomic<uint64_t> corrupt_discarded_{0};
     std::atomic<uint64_t> legacy_discarded_{0};
 };

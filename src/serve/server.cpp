@@ -167,14 +167,11 @@ bool Server::start(std::string& error) {
     }
 
     if (!opts_.store_dir.empty()) {
-        incr::StoreOptions sopts;
-        sopts.dir = opts_.store_dir;
-        sopts.entail_budget = opts_.store_entail_budget;
-        auto store = std::make_unique<incr::ArtifactStore>(sopts);
+        auto store = std::make_unique<incr::ArtifactStore>(
+            incr::StoreOptions{opts_.store_dir});
         std::string store_error;
         if (store->open(store_error)) {
             store_ = std::move(store);
-            store_->load_entail(cache_);
         } else {
             // Same degradation policy as the batch driver: a broken
             // store means a cold daemon, not a dead one.
@@ -204,11 +201,6 @@ void Server::request_stop() {
         char b = 'q';
         [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
     }
-}
-
-void Server::flush_store() {
-    if (store_)
-        store_->flush_entail(cache_);
 }
 
 Server::Session* Server::find_session(const std::string& key) {
@@ -303,8 +295,6 @@ JsonValue Server::do_status() {
         JsonValue store = JsonValue::object();
         store.set("dir", JsonValue(store_->dir()));
         store.set("verdict_stores", JsonValue(ss.verdict_stores));
-        store.set("entail_loaded", JsonValue(ss.entail_loaded));
-        store.set("entail_flushed", JsonValue(ss.entail_flushed));
         result.set("store", std::move(store));
     }
     return result;
@@ -398,6 +388,7 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
     JsonValue push_lsp;
     if (!hit) {
         ++stats_.verifies;
+        copts.solver.cache = &cache_;
         session.comp.options().check = copts;
         driver::JobSpec spec;
         spec.name = name;
@@ -405,8 +396,7 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
         spec.timeout_ms = timeout_ms;
         driver::JobResult res =
             driver::verify_text(session.comp, spec, source,
-                                opts_.default_timeout_ms, &cache_,
-                                store_.get());
+                                opts_.default_timeout_ms, store_.get());
         const check::CheckResult* cres = session.comp.check();
         out = Outcome();
         out.valid = true;
@@ -636,9 +626,8 @@ int Server::run() {
     }
 
     // Graceful exit: whatever stopped the loop (shutdown request,
-    // SIGINT/SIGTERM, idle timeout), the entailment cache reaches disk
-    // through the store's atomic-rename writes and the socket is gone.
-    flush_store();
+    // SIGINT/SIGTERM, idle timeout), the socket is gone. The store needs
+    // no flush: every record was written atomically at verify time.
     conns_.clear();
     listener_->close_and_unlink();
     return 0;

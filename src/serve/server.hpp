@@ -3,10 +3,11 @@
 // holding the expensive verification state hot in memory across
 // requests:
 //
-//   * one shared solver::EntailCache (as a batch run would have),
-//   * the persistent incr::ArtifactStore (entail cache loaded at start,
-//     flushed on shutdown; verdicts written at verify time so a later
-//     cold `svlc batch --store` warm-skips unchanged jobs),
+//   * one in-memory solver::EntailCache shared by every session (never
+//     persisted; the only entailment cache left in svlc),
+//   * the persistent incr::ArtifactStore (verdicts and obligation
+//     records written at verify time, so a later cold `svlc batch
+//     --store` warm-skips unchanged jobs),
 //   * a server-wide LRU table of sessions, each owning an elaborated
 //     pipeline::Compilation plus the rendered outcome of its last
 //     verify, keyed by (buffer name, top, checker options).
@@ -52,10 +53,9 @@ struct ServeOptions {
     /// unlimited.
     uint64_t default_timeout_ms = 0;
     size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
-    size_t store_entail_budget = incr::StoreOptions{}.entail_budget;
     /// Checker configuration baseline; per-request options overlay it.
     check::CheckOptions default_check;
-    /// SIGINT/SIGTERM trigger a graceful (store-flushing) shutdown.
+    /// SIGINT/SIGTERM trigger a graceful shutdown.
     /// Tests hosting the server on a thread turn this off.
     bool install_signal_handlers = true;
 };
@@ -75,14 +75,14 @@ public:
     explicit Server(ServeOptions opts);
     ~Server();
 
-    /// Binds the socket (reclaiming a stale one, refusing a live one),
-    /// opens the store, and preloads the entailment cache. False with
-    /// `error` set on any failure; no partial state is left behind.
+    /// Binds the socket (reclaiming a stale one, refusing a live one)
+    /// and opens the store. False with `error` set on any failure; no
+    /// partial state is left behind.
     bool start(std::string& error);
 
     /// Serves until shutdown (request, signal, idle timeout, or
-    /// request_stop). Flushes the entailment cache to the store and
-    /// unlinks the socket before returning. Returns a process exit code.
+    /// request_stop). Unlinks the socket before returning. Returns a
+    /// process exit code.
     int run();
 
     /// Thread-safe, async-signal-safe stop request; wakes the loop.
@@ -111,7 +111,6 @@ private:
                             const std::string& top,
                             const check::CheckOptions& copts);
     void touch(Session& s);
-    void flush_store();
 
     ServeOptions opts_;
     solver::EntailCache cache_;

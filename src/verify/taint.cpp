@@ -43,6 +43,14 @@ LevelId TaintTracker::eval_taint(const Expr& e, ProcessKind kind,
             return acc; // malformed HIR; the simulator raises on eval
         uint64_t idx = sim.evaluate(*e.index).value() %
                        array_taints_[e.net].size();
+        if (e.primed) {
+            // Pending view, as in Simulator::eval: the last staged write
+            // to this element wins.
+            for (auto it = array_writes_.rbegin(); it != array_writes_.rend();
+                 ++it)
+                if (it->net == e.net && it->index == idx)
+                    return lat.join(acc, it->taint);
+        }
         return lat.join(acc, array_taints_[e.net][idx]);
     }
     case ExprKind::Downgrade: {

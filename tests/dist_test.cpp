@@ -63,8 +63,8 @@ module bad(input com {U} dirty);
 endmodule
 )";
 
-// Hits the enumeration path, so workers actually produce Proven
-// entailments to delta-sync back.
+// Hits the enumeration path, so workers actually produce obligation
+// records to delta-sync back.
 const char* kModeSwitchSrc = R"(
 lattice { level T; level U; flow T -> U; }
 function mode_to_lb(x:1) { 0 -> T; default -> U; }
@@ -201,13 +201,6 @@ TEST(DistProtocol, HexRoundTrip) {
     EXPECT_EQ(dist::hex_encode(back), "deadbeef");
 }
 
-TEST(DistProtocol, EntailKeyHashIsStable) {
-    std::string h = dist::entail_key_hash("some canonical key\nbytes");
-    EXPECT_EQ(h.size(), 16u);
-    EXPECT_EQ(h, dist::entail_key_hash("some canonical key\nbytes"));
-    EXPECT_NE(h, dist::entail_key_hash("some other key"));
-}
-
 // --- end-to-end fleet ------------------------------------------------------
 
 TEST_F(DistTest, FleetMatchesSingleProcessAndMergedStoreWarmSkips) {
@@ -239,6 +232,13 @@ TEST_F(DistTest, FleetMatchesSingleProcessAndMergedStoreWarmSkips) {
     ASSERT_EQ(tc.report.results.size(), jobs.size());
     EXPECT_TRUE(tc.report.all_ran());
     EXPECT_EQ(tc.coord.stats().workers_registered, 2u);
+    // Per-worker counts partition the coordinator's totals.
+    auto summaries = tc.coord.worker_summaries();
+    ASSERT_EQ(summaries.size(), 2u);
+    EXPECT_EQ(summaries[0].results + summaries[1].results,
+              tc.coord.stats().results_accepted);
+    EXPECT_EQ(summaries[0].leases + summaries[1].leases,
+              tc.coord.stats().leases_issued);
 
     // Byte-identical verdict report and summary vs a single-process run.
     // The summary's trailing solver line is telemetry — workers replay
@@ -259,14 +259,12 @@ TEST_F(DistTest, FleetMatchesSingleProcessAndMergedStoreWarmSkips) {
     BatchReport warm = driver::VerificationDriver(warm_opts).run(jobs);
     EXPECT_EQ(warm.skipped_count(), jobs.size());
     EXPECT_EQ(warm.to_json(false), solo.to_json(false));
-    // And the delta-synced Proven entailments made it to disk.
-    EXPECT_GT(warm.store.entail_loaded, 0u);
 
     // Obligation records round-tripped the sync protocol: the workers'
     // per-obligation verdicts are now in the coordinator's store, so an
     // *edited* job (whole-job fingerprint miss) replays its unchanged
     // obligations from the merged store.
-    incr::ArtifactStore merged({copts.store_dir, 1024});
+    incr::ArtifactStore merged({copts.store_dir});
     std::string merr;
     ASSERT_TRUE(merged.open(merr)) << merr;
     EXPECT_GT(merged.list_obligations().size(), 0u);
@@ -379,21 +377,22 @@ TEST_F(DistTest, StolenJobReportsOnceFirstResultWins) {
 
 TEST_F(DistTest, DeltaSyncTransfersOnlyMissingEntries) {
     // Pre-populate the coordinator's store with one verdict and one
-    // entailment; the peer offers those plus one new entry of each kind.
+    // obligation record; the peer offers those plus one new entry of
+    // each kind.
     std::string fp_known = sha256_hex("known job");
     std::string fp_new = sha256_hex("new job");
-    std::string key_known = "known entail key";
-    std::string key_new = "new entail key";
+    std::string ob_known = sha256_hex("known obligation");
+    std::string ob_new = sha256_hex("new obligation");
     {
-        incr::ArtifactStore seed({sub("coord-store"), 1024});
+        incr::ArtifactStore seed({sub("coord-store")});
         std::string error;
         ASSERT_TRUE(seed.open(error)) << error;
         incr::StoredVerdict v;
         v.secure = true;
         ASSERT_TRUE(seed.store_verdict(fp_known, v));
-        solver::EntailCache cache;
-        cache.insert(key_known, {5});
-        ASSERT_EQ(seed.flush_entail(cache), 1u);
+        incr::StoredObligation o;
+        o.proven = true;
+        ASSERT_TRUE(seed.store_obligation(ob_known, o));
     }
 
     CoordinatorOptions copts;
@@ -437,20 +436,20 @@ TEST_F(DistTest, DeltaSyncTransfersOnlyMissingEntries) {
     fps.push_back(JsonValue(fp_known));
     fps.push_back(JsonValue(fp_new));
     sync.set("verdicts", std::move(fps));
-    JsonValue hashes = JsonValue::array();
-    hashes.push_back(JsonValue(dist::entail_key_hash(key_known)));
-    hashes.push_back(JsonValue(dist::entail_key_hash(key_new)));
-    sync.set("entail", std::move(hashes));
+    JsonValue obs = JsonValue::array();
+    obs.push_back(JsonValue(ob_known));
+    obs.push_back(JsonValue(ob_new));
+    sync.set("obligations", std::move(obs));
     JsonValue want = call_ok(*client, "sync", sync);
 
     const JsonValue* wv = want.find("want_verdicts");
     ASSERT_NE(wv, nullptr);
     ASSERT_EQ(wv->items().size(), 1u);
     EXPECT_EQ(wv->items()[0].str(), fp_new);
-    const JsonValue* we = want.find("want_entail");
-    ASSERT_NE(we, nullptr);
-    ASSERT_EQ(we->items().size(), 1u);
-    EXPECT_EQ(we->items()[0].str(), dist::entail_key_hash(key_new));
+    const JsonValue* wo = want.find("want_obligations");
+    ASSERT_NE(wo, nullptr);
+    ASSERT_EQ(wo->items().size(), 1u);
+    EXPECT_EQ(wo->items()[0].str(), ob_new);
 
     // Push exactly what was asked for; corrupt extras are counted, not
     // fatal.
@@ -471,34 +470,37 @@ TEST_F(DistTest, DeltaSyncTransfersOnlyMissingEntries) {
     corrupt.set("data", JsonValue("definitely-not-hex"));
     verdicts.push_back(std::move(corrupt));
     push.set("verdicts", std::move(verdicts));
-    JsonValue entail = JsonValue::array();
+    incr::StoredObligation o;
+    o.lhs_level = 1;
+    o.witness.push_back({0, true, 17});
+    JsonValue push_obs = JsonValue::array();
     JsonValue entry = JsonValue::object();
-    entry.set("key", JsonValue(dist::hex_encode(key_new)));
-    entry.set("candidates", JsonValue(uint64_t{17}));
-    entail.push_back(std::move(entry));
-    push.set("entail", std::move(entail));
+    entry.set("fp", JsonValue(ob_new));
+    entry.set("data",
+              JsonValue(dist::hex_encode(incr::encode_stored_obligation(o))));
+    push_obs.push_back(std::move(entry));
+    push.set("obligations", std::move(push_obs));
     JsonValue pushed = call_ok(*client, "push", push);
     EXPECT_EQ(pushed.get_uint("verdicts_merged"), 1u);
-    EXPECT_EQ(pushed.get_uint("entail_merged"), 1u);
+    EXPECT_EQ(pushed.get_uint("obligations_merged"), 1u);
     EXPECT_EQ(pushed.get_uint("corrupt_skipped"), 1u);
 
     // A second handshake confirms the coordinator now has everything.
     JsonValue again = call_ok(*client, "sync", sync);
     EXPECT_EQ(again.find("want_verdicts")->items().size(), 0u);
-    EXPECT_EQ(again.find("want_entail")->items().size(), 0u);
+    EXPECT_EQ(again.find("want_obligations")->items().size(), 0u);
 
     client.reset();
     tc.join();
 
     // Both pushed entries landed in the on-disk store.
-    incr::ArtifactStore merged({sub("coord-store"), 1024});
+    incr::ArtifactStore merged({sub("coord-store")});
     ASSERT_TRUE(merged.open(error)) << error;
     EXPECT_TRUE(merged.has_verdict(fp_new));
-    solver::EntailCache warm;
-    ASSERT_EQ(merged.load_entail(warm), 2u);
-    auto got = warm.lookup(key_new);
+    auto got = merged.load_obligation(ob_new);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->candidates, 17u);
+    ASSERT_EQ(got->witness.size(), 1u);
+    EXPECT_EQ(got->witness[0].value, 17u);
 }
 
 TEST_F(DistTest, VersionMismatchIsRefusedAtRegister) {

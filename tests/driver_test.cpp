@@ -1,7 +1,8 @@
 // Batch-verification driver tests: deterministic aggregation across
-// worker counts, cache/no-cache verdict parity, per-job timeout
-// isolation, cross-instance memoization, and job discovery.
+// worker counts, cache/no-cache verdict parity of the checker, per-job
+// timeout isolation, and job discovery.
 #include "driver/driver.hpp"
+#include "solver/entail_cache.hpp"
 
 #include "test_util.hpp"
 
@@ -191,21 +192,6 @@ TEST(Driver, TimeoutIsolation) {
     EXPECT_EQ(report.count(JobStatus::Timeout), 1u);
 }
 
-// Warm runs over the same driver reuse the cache across run() calls.
-TEST(Driver, CacheStaysWarmAcrossRuns) {
-    std::vector<JobSpec> jobs;
-    jobs.push_back({"mode_switch", "", kModeSwitch, "", 0});
-
-    VerificationDriver drv;
-    BatchReport cold = drv.run(jobs);
-    BatchReport warm = drv.run(jobs);
-
-    EXPECT_GT(warm.cache.hits, 0u);
-    EXPECT_EQ(warm.cache.hit_rate(), 1.0);
-    // Verdicts unchanged by cache temperature.
-    EXPECT_EQ(cold.to_json(false), warm.to_json(false));
-}
-
 TEST(Driver, RejectedDesignStillReportsDiagnostics) {
     std::vector<JobSpec> jobs;
     jobs.push_back({"illegal", "", kIllegal, "", 0});
@@ -219,7 +205,7 @@ TEST(Driver, RejectedDesignStillReportsDiagnostics) {
     // The full JSON embeds the rendered diagnostics, escaped.
     std::string json = report.to_json(true);
     EXPECT_NE(json.find("\"status\": \"rejected\""), std::string::npos);
-    EXPECT_NE(json.find("svlc-batch-report/v2"), std::string::npos);
+    EXPECT_NE(json.find("svlc-batch-report/v3"), std::string::npos);
 }
 
 TEST(Driver, UnreadableFileIsErrorNotCrash) {

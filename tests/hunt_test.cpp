@@ -61,6 +61,35 @@ TEST(Hunt, FindsFig3ImplicitDowngrade) {
     EXPECT_FALSE(r.trace.cycles.empty());
 }
 
+TEST(Hunt, FindsSecretStagedIntoArrayAndReadThroughNext) {
+    // verify_test's kStagedArrayLeak: the leak exists only through the
+    // pending (staged) value of mem[0].
+    auto c = compile(R"(
+lattice { level T; level U; flow T -> U; }
+module m(input com [7:0] {U} secret);
+  reg seq {T} started;
+  reg seq [7:0] {U} mem[0:1];
+  reg seq [7:0] {T} leak;
+  always @(seq) begin
+    started <= 1'b1;
+    if (!started) mem[0] <= secret;
+    else mem[0] <= 8'h0;
+  end
+  always @(seq) begin
+    if (!started) leak <= next(mem[0]);
+  end
+endmodule
+)");
+    ASSERT_TRUE(c.ok()) << c.errors();
+    hunt::HuntOptions opts = small_hunt(4);
+    opts.observer = *c.design->policy.lattice().find("T");
+    hunt::HuntResult r = hunt::hunt(*c.design, opts);
+    ASSERT_EQ(r.verdict, hunt::HuntVerdict::Leak);
+    EXPECT_TRUE(r.replay.confirmed);
+    EXPECT_EQ(c.design->net(r.replay.net).name, "leak");
+    EXPECT_EQ(r.unconfirmed_candidates, 0u);
+}
+
 TEST(Hunt, TraceReplaysThroughConcreteOracle) {
     auto c = compile(kFig3Driven);
     ASSERT_TRUE(c.ok()) << c.errors();

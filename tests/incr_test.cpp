@@ -1,8 +1,8 @@
 // Persistent incremental verification (src/incr): fingerprint
-// definition, verdict round-trips, entailment-cache persistence with
-// budgeted oldest-first compaction, corruption recovery, and the driver
-// integration (fingerprint skips, single-job invalidation, byte-identical
-// verdict sets).
+// definition, verdict and obligation round-trips, store merges,
+// corruption recovery, compatibility with stores written by older
+// builds, and the driver integration (fingerprint skips, single-job
+// invalidation, byte-identical verdict sets).
 #include "incr/fingerprint.hpp"
 #include "incr/store.hpp"
 
@@ -50,8 +50,7 @@ module bad(input com {U} dirty);
 endmodule
 )";
 
-// A design whose obligations hit the enumeration path, so Proven entries
-// land in the entailment cache (domain >= 8).
+// A design whose obligations hit the enumeration path (domain >= 8).
 const char* kModeSwitch = R"(
 lattice { level T; level U; flow T -> U; }
 function mode_to_lb(x:1) { 0 -> T; default -> U; }
@@ -154,7 +153,7 @@ TEST(IncrFingerprint, SensitiveToEveryVerdictInput) {
 // --- verdict store ---------------------------------------------------------
 
 TEST_F(IncrTest, VerdictRoundTrip) {
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
 
@@ -184,13 +183,13 @@ TEST_F(IncrTest, VerdictRoundTrip) {
     EXPECT_EQ(s.corrupt_discarded, 0u);
 
     // Reopening (fresh process) sees the same record.
-    ArtifactStore reopened({store_dir(), 1024});
+    ArtifactStore reopened({store_dir()});
     ASSERT_TRUE(reopened.open(error)) << error;
     ASSERT_TRUE(reopened.load_verdict(fp).has_value());
 }
 
 TEST_F(IncrTest, CorruptVerdictIsDiscardedNotReplayed) {
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
 
@@ -229,7 +228,7 @@ TEST_F(IncrTest, CorruptVerdictIsDiscardedNotReplayed) {
 }
 
 TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
     std::string fp = sha256_hex("old generation");
@@ -239,7 +238,7 @@ TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
         (fs::path(store_dir()) / "v2" / "FORMAT").string(),
         "svlc-store/v999\n"));
 
-    ArtifactStore next({store_dir(), 1024});
+    ArtifactStore next({store_dir()});
     ASSERT_TRUE(next.open(error)) << error;
     EXPECT_EQ(next.stats().corrupt_discarded, 1u);
     EXPECT_FALSE(next.load_verdict(fp).has_value()); // wiped, not misread
@@ -248,81 +247,34 @@ TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
     EXPECT_TRUE(next.load_verdict(fp).has_value());
 }
 
-// --- entailment-cache persistence ------------------------------------------
-
-TEST_F(IncrTest, EntailCachePersistsAcrossStores) {
-    solver::EntailCache cache;
-    cache.insert("key-one\nwith newline", {100});
-    cache.insert("key-two", {200});
-
-    ArtifactStore store({store_dir(), 1024});
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_EQ(store.flush_entail(cache), 2u);
-
-    solver::EntailCache warm;
-    ArtifactStore reopened({store_dir(), 1024});
-    ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.load_entail(warm), 2u);
-    auto one = warm.lookup("key-one\nwith newline");
-    auto two = warm.lookup("key-two");
-    ASSERT_TRUE(one.has_value());
-    ASSERT_TRUE(two.has_value());
-    EXPECT_EQ(one->candidates, 100u);
-    EXPECT_EQ(two->candidates, 200u);
-}
-
-TEST_F(IncrTest, EntailBudgetEvictsOldestFirst) {
-    ArtifactStore store({store_dir(), 6});
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-
-    solver::EntailCache first;
-    for (int i = 0; i < 5; ++i)
-        first.insert("old-" + std::to_string(i), {1});
-    EXPECT_EQ(store.flush_entail(first), 5u);
-
-    solver::EntailCache second;
-    for (int i = 0; i < 5; ++i)
-        second.insert("new-" + std::to_string(i), {2});
-    // 5 old + 5 new = 10, budget 6 → the 4 oldest (file front) drop.
-    EXPECT_EQ(store.flush_entail(second), 6u);
-    EXPECT_EQ(store.stats().entail_evicted, 4u);
-
-    solver::EntailCache warm;
-    ArtifactStore reopened({store_dir(), 6});
-    ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.load_entail(warm), 6u);
-    // Every new-generation entry survived; old ones were evicted first.
-    for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(warm.lookup("new-" + std::to_string(i)).has_value())
-            << i;
-    size_t old_survivors = 0;
-    for (int i = 0; i < 5; ++i)
-        old_survivors +=
-            warm.lookup("old-" + std::to_string(i)).has_value();
-    EXPECT_EQ(old_survivors, 1u);
-}
+// --- entail.cache files left by older builds -----------------------------
 
 TEST_F(IncrTest, CorruptEntailFileLoadsAsEmpty) {
-    ArtifactStore store({store_dir(), 1024});
+    // Older builds persisted an entailment cache in v2/entail.cache. The
+    // store no longer reads it: even a corrupt one is neither counted,
+    // deleted, nor merged, and the records beside it load as usual.
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
-    solver::EntailCache cache;
-    cache.insert("a-key", {1});
-    ASSERT_EQ(store.flush_entail(cache), 1u);
-
+    std::string fp = sha256_hex("beside a stale entail file");
+    ASSERT_TRUE(store.store_verdict(fp, {}));
     fs::path file = fs::path(store_dir()) / "v2" / "entail.cache";
-    fs::resize_file(file, 30);
+    ASSERT_TRUE(write_file_atomic(file.string(), "svlc-store/v2 entail\ngarb"));
 
-    solver::EntailCache warm;
-    EXPECT_EQ(store.load_entail(warm), 0u);
-    EXPECT_EQ(store.stats().corrupt_discarded, 1u);
-    EXPECT_EQ(warm.stats().entries, 0u);
-    // The next flush rebuilds the file from scratch.
-    EXPECT_EQ(store.flush_entail(cache), 1u);
-    solver::EntailCache again;
-    EXPECT_EQ(store.load_entail(again), 1u);
+    ArtifactStore reopened({store_dir()});
+    ASSERT_TRUE(reopened.open(error)) << error;
+    EXPECT_TRUE(reopened.load_verdict(fp).has_value());
+    EXPECT_EQ(reopened.stats().corrupt_discarded, 0u);
+    EXPECT_TRUE(fs::exists(file));
+
+    std::string peer_dir = (dir_ / "merged").string();
+    ArtifactStore peer({peer_dir});
+    ASSERT_TRUE(peer.open(error)) << error;
+    auto stats = peer.merge_from(store_dir(), error);
+    ASSERT_TRUE(stats.has_value()) << error;
+    EXPECT_EQ(stats->verdicts_added, 1u);
+    EXPECT_EQ(stats->corrupt_skipped, 0u);
+    EXPECT_FALSE(fs::exists(fs::path(peer_dir) / "v2" / "entail.cache"));
 }
 
 // --- store merge (distributed delta-sync substrate) ------------------------
@@ -362,23 +314,16 @@ StoredVerdict sample_verdict(bool secure, uint64_t obligations) {
     return v;
 }
 
-/// Byte-compare two store trees: entail.cache plus every verdict file.
+/// Byte-compare two store trees: every verdict and obligation file.
 void expect_stores_identical(const std::string& a, const std::string& b) {
     auto slurp = [](const fs::path& p) {
         std::string text;
         EXPECT_TRUE(read_file(p.string(), text)) << p;
         return text;
     };
-    fs::path ea = fs::path(a) / "v2" / "entail.cache";
-    fs::path eb = fs::path(b) / "v2" / "entail.cache";
-    EXPECT_EQ(fs::exists(ea), fs::exists(eb));
-    if (fs::exists(ea)) {
-        EXPECT_EQ(slurp(ea), slurp(eb));
-    }
-
-    auto verdict_files = [](const std::string& root) {
+    auto table_files = [](const std::string& root, const char* table) {
         std::vector<fs::path> rel;
-        fs::path base = fs::path(root) / "v2" / "verdicts";
+        fs::path base = fs::path(root) / "v2" / table;
         if (fs::exists(base))
             for (const auto& e : fs::recursive_directory_iterator(base))
                 if (e.is_regular_file())
@@ -386,18 +331,20 @@ void expect_stores_identical(const std::string& a, const std::string& b) {
         std::sort(rel.begin(), rel.end());
         return rel;
     };
-    auto fa = verdict_files(a);
-    ASSERT_EQ(fa, verdict_files(b));
-    for (const auto& rel : fa)
-        EXPECT_EQ(slurp(fs::path(a) / "v2" / "verdicts" / rel),
-                  slurp(fs::path(b) / "v2" / "verdicts" / rel))
-            << rel;
+    for (const char* table : {"verdicts", "obligations"}) {
+        auto fa = table_files(a, table);
+        ASSERT_EQ(fa, table_files(b, table)) << table;
+        for (const auto& rel : fa)
+            EXPECT_EQ(slurp(fs::path(a) / "v2" / table / rel),
+                      slurp(fs::path(b) / "v2" / table / rel))
+                << table << "/" << rel;
+    }
 }
 
 TEST_F(IncrTest, MergeDedupsIdenticalFingerprints) {
     std::string a_dir = (dir_ / "a").string();
     std::string b_dir = (dir_ / "b").string();
-    ArtifactStore a({a_dir, 1024}), b({b_dir, 1024});
+    ArtifactStore a({a_dir}), b({b_dir});
     std::string error;
     ASSERT_TRUE(a.open(error)) << error;
     ASSERT_TRUE(b.open(error)) << error;
@@ -409,35 +356,16 @@ TEST_F(IncrTest, MergeDedupsIdenticalFingerprints) {
     ASSERT_TRUE(b.store_verdict(fp2, sample_verdict(false, 5)));
     ASSERT_TRUE(b.store_verdict(fp3, sample_verdict(true, 7)));
 
-    solver::EntailCache bc;
-    bc.insert("shared-key", {10});
-    ASSERT_EQ(b.flush_entail(bc), 1u);
-    solver::EntailCache ac;
-    // Same key with a *larger* candidate count: the merge keeps the
-    // smaller (either proof is sound; the smaller replays faster).
-    ac.insert("shared-key", {25});
-    ASSERT_EQ(a.flush_entail(ac), 1u);
-
     auto stats = a.merge_from(b_dir, error);
     ASSERT_TRUE(stats.has_value()) << error;
     EXPECT_EQ(stats->verdicts_added, 1u);
     EXPECT_EQ(stats->verdicts_present, 1u);
-    EXPECT_EQ(stats->entail_added, 0u);
-    EXPECT_EQ(stats->entail_present, 1u);
     EXPECT_EQ(stats->corrupt_skipped, 0u);
 
     EXPECT_TRUE(a.has_verdict(fp1));
     EXPECT_TRUE(a.has_verdict(fp2));
     EXPECT_TRUE(a.has_verdict(fp3));
     EXPECT_EQ(a.list_verdicts().size(), 3u);
-
-    solver::EntailCache merged;
-    ArtifactStore reopened({a_dir, 1024});
-    ASSERT_TRUE(reopened.open(error)) << error;
-    ASSERT_EQ(reopened.load_entail(merged), 1u);
-    auto entry = merged.lookup("shared-key");
-    ASSERT_TRUE(entry.has_value());
-    EXPECT_EQ(entry->candidates, 10u);
 
     // A missing peer is the one hard error.
     EXPECT_FALSE(a.merge_from((dir_ / "nope").string(), error).has_value());
@@ -447,7 +375,7 @@ TEST_F(IncrTest, MergeDedupsIdenticalFingerprints) {
 TEST_F(IncrTest, MergeToleratesCorruptPeerEntry) {
     std::string a_dir = (dir_ / "a").string();
     std::string b_dir = (dir_ / "b").string();
-    ArtifactStore a({a_dir, 1024}), b({b_dir, 1024});
+    ArtifactStore a({a_dir}), b({b_dir});
     std::string error;
     ASSERT_TRUE(a.open(error)) << error;
     ASSERT_TRUE(b.open(error)) << error;
@@ -478,40 +406,13 @@ TEST_F(IncrTest, MergeToleratesCorruptPeerEntry) {
     EXPECT_TRUE(fs::exists(bad_file));
 }
 
-TEST_F(IncrTest, MergeRespectsEntailBudget) {
-    std::string a_dir = (dir_ / "a").string();
-    std::string b_dir = (dir_ / "b").string();
-    ArtifactStore a({a_dir, 6}), b({b_dir, 1024});
-    std::string error;
-    ASSERT_TRUE(a.open(error)) << error;
-    ASSERT_TRUE(b.open(error)) << error;
-
-    solver::EntailCache ac, bc;
-    for (int i = 0; i < 4; ++i)
-        ac.insert("local-" + std::to_string(i), {1});
-    ASSERT_EQ(a.flush_entail(ac), 4u);
-    for (int i = 0; i < 5; ++i)
-        bc.insert("peer-" + std::to_string(i), {2});
-    ASSERT_EQ(b.flush_entail(bc), 5u);
-
-    auto stats = a.merge_from(b_dir, error);
-    ASSERT_TRUE(stats.has_value()) << error;
-    EXPECT_EQ(stats->entail_added, 5u);
-    EXPECT_EQ(stats->entail_evicted, 3u); // 4 + 5 = 9, budget 6
-
-    solver::EntailCache merged;
-    ArtifactStore reopened({a_dir, 6});
-    ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.load_entail(merged), 6u);
-}
-
 TEST_F(IncrTest, MergeIsByteDeterministicAcrossOrders) {
     // Two targets, the same two peers merged in opposite orders: the
-    // resulting store trees must be byte-identical (canonical entail
-    // order, canonical verdict encoding).
+    // resulting store trees must be byte-identical (canonical record
+    // encodings, content-addressed file names).
     std::string p1_dir = (dir_ / "p1").string();
     std::string p2_dir = (dir_ / "p2").string();
-    ArtifactStore p1({p1_dir, 1024}), p2({p2_dir, 1024});
+    ArtifactStore p1({p1_dir}), p2({p2_dir});
     std::string error;
     ASSERT_TRUE(p1.open(error)) << error;
     ASSERT_TRUE(p2.open(error)) << error;
@@ -522,18 +423,18 @@ TEST_F(IncrTest, MergeIsByteDeterministicAcrossOrders) {
     ASSERT_TRUE(p1.store_verdict(fp_shared, sample_verdict(false, 9)));
     ASSERT_TRUE(p2.store_verdict(fp2, sample_verdict(true, 4)));
     ASSERT_TRUE(p2.store_verdict(fp_shared, sample_verdict(false, 9)));
-
-    solver::EntailCache c1, c2;
-    c1.insert("zeta-key", {1});
-    c1.insert("both-key", {30});
-    ASSERT_EQ(p1.flush_entail(c1), 2u);
-    c2.insert("alpha-key", {2});
-    c2.insert("both-key", {20});
-    ASSERT_EQ(p2.flush_entail(c2), 2u);
+    incr::StoredObligation proven;
+    proven.proven = true;
+    incr::StoredObligation refuted;
+    refuted.rhs_level = 1;
+    refuted.witness.push_back({2, false, 5});
+    ASSERT_TRUE(p1.store_obligation(sha256_hex("o1"), proven));
+    ASSERT_TRUE(p2.store_obligation(sha256_hex("o2"), refuted));
+    ASSERT_TRUE(p2.store_obligation(sha256_hex("o1"), proven));
 
     std::string x_dir = (dir_ / "x").string();
     std::string y_dir = (dir_ / "y").string();
-    ArtifactStore x({x_dir, 1024}), y({y_dir, 1024});
+    ArtifactStore x({x_dir}), y({y_dir});
     ASSERT_TRUE(x.open(error)) << error;
     ASSERT_TRUE(y.open(error)) << error;
 
@@ -543,15 +444,8 @@ TEST_F(IncrTest, MergeIsByteDeterministicAcrossOrders) {
     ASSERT_TRUE(y.merge_from(p1_dir, error).has_value()) << error;
 
     expect_stores_identical(x_dir, y_dir);
-
-    // And the collision kept the smaller candidate count on both.
-    solver::EntailCache mx;
-    ArtifactStore rx({x_dir, 1024});
-    ASSERT_TRUE(rx.open(error)) << error;
-    ASSERT_EQ(rx.load_entail(mx), 3u);
-    auto both = mx.lookup("both-key");
-    ASSERT_TRUE(both.has_value());
-    EXPECT_EQ(both->candidates, 20u);
+    EXPECT_EQ(x.list_verdicts().size(), 3u);
+    EXPECT_EQ(x.list_obligations().size(), 2u);
 }
 
 // --- obligation records (v2) -----------------------------------------------
@@ -594,7 +488,7 @@ TEST(IncrCodec, StoredObligationRoundTripsAndFailsClosed) {
 }
 
 TEST_F(IncrTest, ObligationStoreRoundTripAndCorruptionDiscard) {
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
 
@@ -643,7 +537,7 @@ TEST_F(IncrTest, ObligationStoreRoundTripAndCorruptionDiscard) {
 TEST_F(IncrTest, MergeCarriesObligationRecords) {
     std::string a_dir = (dir_ / "a").string();
     std::string b_dir = (dir_ / "b").string();
-    ArtifactStore a({a_dir, 1024}), b({b_dir, 1024});
+    ArtifactStore a({a_dir}), b({b_dir});
     std::string error;
     ASSERT_TRUE(a.open(error)) << error;
     ASSERT_TRUE(b.open(error)) << error;
@@ -673,7 +567,7 @@ TEST_F(IncrTest, LegacyV1StoreIsDiscardedWholesale) {
     fs::copy(fixture, dir_ / "store", fs::copy_options::recursive);
     ASSERT_TRUE(fs::exists(fs::path(store_dir()) / "v1" / "FORMAT"));
 
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
     EXPECT_EQ(store.stats().legacy_discarded, 1u);
@@ -689,7 +583,7 @@ TEST_F(IncrTest, LegacyV1StoreIsDiscardedWholesale) {
     EXPECT_TRUE(store.load_verdict(fp).has_value());
 
     // A second open is clean: no v1/ left, no second discard.
-    ArtifactStore again({store_dir(), 1024});
+    ArtifactStore again({store_dir()});
     ASSERT_TRUE(again.open(error)) << error;
     EXPECT_EQ(again.stats().legacy_discarded, 0u);
 }
@@ -755,6 +649,61 @@ TEST_F(IncrTest, WhitespaceEditReplaysEveryObligation) {
     // telemetry (0 queries when everything replays) and excluded.
     EXPECT_EQ(warm.summary().substr(0, warm.summary().find("solver:")),
               fresh.summary().substr(0, fresh.summary().find("solver:")));
+}
+
+TEST_F(IncrTest, StoreWithEntailCacheFromOlderBuildStaysWarm) {
+    // tests/fixtures/store_v2_entail is a store written by a build that
+    // still persisted the entailment cache: `svlc batch <file> --store`
+    // over kModeSwitch, kRejected and kSliced, saved under the job names
+    // below, so it holds v2/entail.cache beside its verdict and
+    // obligation records. The tool version did not change when the cache
+    // left the store, so every record must still answer.
+    fs::path fixture = fs::path(SVLC_FIXTURE_DIR) / "store_v2_entail";
+    fs::path entail = fs::path("v2") / "entail.cache";
+    ASSERT_TRUE(fs::exists(fixture / entail));
+    fs::copy(fixture, dir_ / "store", fs::copy_options::recursive);
+    std::string entail_bytes;
+    ASSERT_TRUE(read_file((fixture / entail).string(), entail_bytes));
+
+    std::vector<JobSpec> jobs = {{"mode_switch.svlc", "", kModeSwitch, "", 0},
+                                 {"leak.svlc", "", kRejected, "", 0},
+                                 {"sliced.svlc", "", kSliced, "", 0}};
+    DriverOptions opts;
+    opts.store_dir = store_dir();
+    BatchReport warm = VerificationDriver(opts).run(jobs);
+    EXPECT_EQ(warm.skipped_count(), jobs.size());
+    EXPECT_EQ(warm.store.corrupt_discarded, 0u);
+    BatchReport fresh = VerificationDriver(DriverOptions{}).run(jobs);
+    EXPECT_EQ(warm.to_json(false), fresh.to_json(false));
+
+    // An edited job misses its job fingerprint but replays every
+    // obligation recorded by the older build.
+    std::vector<JobSpec> edited = {
+        {"sliced.svlc", "", "// edited\n" + std::string(kSliced), "", 0}};
+    BatchReport replay = VerificationDriver(opts).run(edited);
+    ASSERT_EQ(replay.results[0].status, JobStatus::Secure);
+    EXPECT_FALSE(replay.results[0].skipped);
+    EXPECT_GT(replay.results[0].obligations, 0u);
+    EXPECT_EQ(replay.results[0].obligations_replayed,
+              replay.results[0].obligations);
+    EXPECT_EQ(replay.results[0].obligations_solved, 0u);
+
+    // The stale file is never read, rewritten or deleted...
+    std::string after;
+    ASSERT_TRUE(read_file((fs::path(store_dir()) / entail).string(), after));
+    EXPECT_EQ(after, entail_bytes);
+
+    // ...and a merge takes the records and leaves the file behind.
+    std::string merged_dir = (dir_ / "merged").string();
+    ArtifactStore merged({merged_dir});
+    std::string error;
+    ASSERT_TRUE(merged.open(error)) << error;
+    auto stats = merged.merge_from(fixture.string(), error);
+    ASSERT_TRUE(stats.has_value()) << error;
+    EXPECT_EQ(stats->verdicts_added, jobs.size());
+    EXPECT_GT(stats->obligations_added, 0u);
+    EXPECT_EQ(stats->corrupt_skipped, 0u);
+    EXPECT_FALSE(fs::exists(fs::path(merged_dir) / entail));
 }
 
 TEST_F(IncrTest, OneNetLabelEditResolvesOnlyDependentSlice) {
@@ -877,8 +826,6 @@ TEST_F(IncrTest, SecondRunSkipsEverythingWithIdenticalVerdicts) {
     // The full report says *why* each job was skipped.
     EXPECT_NE(r2.to_json(true).find("\"skipped\": \"fingerprint-hit\""),
               std::string::npos);
-    // And the warm run reused the persisted entailment entries.
-    EXPECT_GT(r2.store.entail_loaded, 0u);
 }
 
 TEST_F(IncrTest, MutatingOneSourceReverifiesExactlyThatJob) {
@@ -903,15 +850,16 @@ TEST_F(IncrTest, MutatingOneSourceReverifiesExactlyThatJob) {
 }
 
 TEST_F(IncrTest, CacheDisabledStillSkipsByFingerprint) {
-    std::string a = write("a.svlc", kSecure);
-    std::vector<JobSpec> jobs = {{a, a, "", "", 0}};
+    // The batch path keeps no entailment cache: the store alone carries
+    // a run's work to the next, and it writes no entail.cache.
+    std::string c = write("c.svlc", kModeSwitch);
+    std::vector<JobSpec> jobs = {{c, c, "", "", 0}};
     DriverOptions opts;
     opts.store_dir = store_dir();
-    opts.use_cache = false; // verdict store works without the entail cache
     VerificationDriver(opts).run(jobs);
     BatchReport r = VerificationDriver(opts).run(jobs);
     EXPECT_EQ(r.skipped_count(), 1u);
-    EXPECT_EQ(r.store.entail_loaded, 0u);
+    EXPECT_FALSE(fs::exists(fs::path(store_dir()) / "v2" / "entail.cache"));
 }
 
 TEST_F(IncrTest, ErrorsAndTimeoutsAreNeverPersisted) {

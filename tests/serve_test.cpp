@@ -398,14 +398,18 @@ TEST(Serve, ShutdownFlushesStoreForBatchWarmSkip) {
         // The daemon writes the verdict under the same fingerprint a
         // batch job with this name computes.
         call_ok(*client, "verify", verify_params(file, source));
-        // Graceful shutdown via the protocol; run() flushes the store.
+        // The daemon's entailment cache (in memory only) saw the
+        // design's enumeration queries.
+        JsonValue status = call_ok(*client, "status", JsonValue::object());
+        EXPECT_GT(status.find("cache")->get_uint("misses"), 0u);
+        // Graceful shutdown via the protocol.
         call_ok(*client, "shutdown", JsonValue::object());
         ts.thread.join();
         ts.thread = std::thread(); // already joined
     }
 
-    // A cold batch over the same job warm-skips from the flushed store
-    // and loads the persisted entailment cache.
+    // A cold batch over the same job warm-skips from the daemon's store,
+    // which holds no entailment cache.
     driver::DriverOptions dopts;
     dopts.store_dir = store.string();
     driver::JobSpec job;
@@ -415,7 +419,7 @@ TEST(Serve, ShutdownFlushesStoreForBatchWarmSkip) {
     driver::BatchReport report = drv.run({job});
     EXPECT_EQ(report.skipped_count(), 1u);
     EXPECT_EQ(report.results[0].status, driver::JobStatus::Secure);
-    EXPECT_GT(report.store.entail_loaded, 0u);
+    EXPECT_FALSE(fs::exists(store / "v2" / "entail.cache"));
 
     fs::remove_all(store);
 }

@@ -34,6 +34,26 @@ LevelId trusted_level(const hir::Design& d) {
     return *d.policy.lattice().find("T");
 }
 
+// A secret staged into an array element and read back the same cycle
+// through next(): the checker rejects it, and the dynamic engines must
+// see the flow as well.
+const char* kStagedArrayLeak = R"(
+lattice { level T; level U; flow T -> U; }
+module m(input com [7:0] {U} secret);
+  reg seq {T} started;
+  reg seq [7:0] {U} mem[0:1];
+  reg seq [7:0] {T} leak;
+  always @(seq) begin
+    started <= 1'b1;
+    if (!started) mem[0] <= secret;
+    else mem[0] <= 8'h0;
+  end
+  always @(seq) begin
+    if (!started) leak <= next(mem[0]);
+  end
+endmodule
+)";
+
 TEST(Noninterference, ImplicitDowngradingLeaksDynamically) {
     auto c = compile(kFig3Driven);
     ASSERT_TRUE(c.ok()) << c.errors();
@@ -323,6 +343,23 @@ endmodule
     tracker.step(sim);
     EXPECT_FALSE(tracker.violations().empty())
         << "endorse target is U on the pending mode; lo is declared T";
+}
+
+TEST(Taint, PrimedArrayReadSeesStagedWrite) {
+    // next(mem[0]) reads the element's pending value: the secret staged
+    // by the first process this cycle, not the committed (clean) one.
+    // The simulator forwards it, so the taint pass must too.
+    auto c = compile(kStagedArrayLeak);
+    ASSERT_TRUE(c.ok()) << c.errors();
+    sim::Simulator sim(*c.design);
+    verify::TaintTracker tracker(*c.design);
+    sim.set_input("secret", 77);
+    tracker.step(sim);
+    EXPECT_EQ(sim.get("leak").value(), 77u);
+    EXPECT_EQ(tracker.taint(c.design->find_net("leak")),
+              *c.design->policy.lattice().find("U"));
+    EXPECT_FALSE(tracker.violations().empty())
+        << "the secret reaches the trusted register through next(mem[0])";
 }
 
 } // namespace

@@ -23,8 +23,7 @@
 //   svlc hunt-corpus [--out DIR]
 //   svlc dump-cpu <labeled|baseline|vulnerable|quad> [outfile]
 //   svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N] [--json F]
-//              [--timeout-ms T] [--no-cache] [--warm] [--cpus]
-//              [--store DIR] [--no-store]
+//              [--timeout-ms T] [--cpus] [--store DIR] [--no-store]
 //   svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]
 //              [--interval-ms T] [--iterations N] [--jobs N] [--cpus]
 //   svlc diff-backends <manifest|dir|file.svlc|builtin:V> [--jobs N]
@@ -93,9 +92,8 @@ int usage() {
                  "  svlc worker --connect PATH [--store DIR] [--name S]\n"
                  "             [--retry N] [--backoff MS]\n"
                  "  svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N]\n"
-                 "             [--json out.json] [--timeout-ms T] [--no-cache]\n"
-                 "             [--warm] [--cpus] [--classic] [--no-hold]\n"
-                 "             [--store DIR] [--no-store]\n"
+                 "             [--json out.json] [--timeout-ms T] [--cpus]\n"
+                 "             [--classic] [--no-hold] [--store DIR] [--no-store]\n"
                  "  svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]\n"
                  "             [--interval-ms T] [--iterations N] [--jobs N]\n"
                  "             [--cpus] [--classic] [--no-hold]\n"
@@ -141,8 +139,6 @@ struct Args {
     uint64_t jobs = 0;
     std::string json_path;
     uint64_t timeout_ms = 0;
-    bool no_cache = false;
-    bool warm = false;
     bool cpus = false;
     // batch/watch persistent store
     std::string store_dir;
@@ -474,8 +470,6 @@ bool parse_args(int argc, char** argv, Args& args) {
                 std::fprintf(stderr, "--timeout-ms: bad value '%s'\n", v);
                 return false;
             }
-        } else if (arg == "--no-cache") {
-            args.no_cache = true;
         } else if (arg == "--store") {
             const char* v = next();
             if (!v)
@@ -503,8 +497,6 @@ bool parse_args(int argc, char** argv, Args& args) {
                 std::fprintf(stderr, "--iterations: bad count '%s'\n", v);
                 return false;
             }
-        } else if (arg == "--warm") {
-            args.warm = true;
         } else if (arg == "--cpus") {
             args.cpus = true;
         } else if (arg == "--oracle") {
@@ -788,6 +780,12 @@ int cmd_coordinator(const Args& args) {
         static_cast<unsigned long long>(st.steals),
         static_cast<unsigned long long>(st.duplicate_results),
         static_cast<unsigned long long>(st.store_skips));
+    for (const dist::WorkerSummary& w : coord.worker_summaries())
+        std::fprintf(stderr,
+                     "coordinator worker %s: %llu lease(s), %llu result(s) "
+                     "accepted\n",
+                     w.name.c_str(), static_cast<unsigned long long>(w.leases),
+                     static_cast<unsigned long long>(w.results));
     if (!args.json_path.empty()) {
         std::ofstream out(args.json_path);
         if (!out) {
@@ -817,12 +815,12 @@ int cmd_worker(const Args& args) {
     std::fprintf(
         stderr,
         "svlc worker: %llu lease(s), %llu verified, %llu store hit(s), "
-        "%llu verdict(s) + %llu entailment(s) pushed\n",
+        "%llu verdict(s) + %llu obligation record(s) pushed\n",
         static_cast<unsigned long long>(st.leases),
         static_cast<unsigned long long>(st.verified),
         static_cast<unsigned long long>(st.store_hits),
         static_cast<unsigned long long>(st.pushed_verdicts),
-        static_cast<unsigned long long>(st.pushed_entail));
+        static_cast<unsigned long long>(st.pushed_obligations));
     return 0;
 }
 
@@ -842,39 +840,25 @@ int cmd_batch(const Args& args) {
     driver::DriverOptions opts;
     opts.jobs = args.jobs;
     opts.timeout_ms = args.timeout_ms;
-    opts.use_cache = !args.no_cache;
     if (!args.no_store)
         opts.store_dir = args.store_dir;
     opts.check = check_options(args);
 
     driver::VerificationDriver drv(opts);
-    if (args.warm) {
-        // Untimed warm-up pass: populate the entailment cache so the
-        // reported run measures steady-state (CI dashboard) behaviour.
-        (void)drv.run(jobs);
-    }
     driver::BatchReport report = drv.run(jobs);
 
-    // The stdout summary is deterministic (verdicts only); timings and
-    // cache telemetry go to stderr and the JSON report.
+    // The stdout summary is deterministic (verdicts only); timings go to
+    // stderr and the JSON report.
     std::fputs(report.summary().c_str(), stdout);
-    std::fprintf(stderr,
-                 "batch wall %.1f ms on %zu worker(s); cache: %llu hits / "
-                 "%llu misses (%.1f%%), %llu entries\n",
-                 report.wall_ms, report.workers,
-                 static_cast<unsigned long long>(report.cache.hits),
-                 static_cast<unsigned long long>(report.cache.misses),
-                 report.cache.hit_rate() * 100.0,
-                 static_cast<unsigned long long>(report.cache.entries));
+    std::fprintf(stderr, "batch wall %.1f ms on %zu worker(s)\n",
+                 report.wall_ms, report.workers);
     if (report.store_enabled) {
         std::fprintf(
             stderr,
-            "store: %zu skipped via fingerprint, %llu stored, %llu entail "
-            "entries loaded / %llu flushed, %llu corrupt discarded\n",
+            "store: %zu skipped via fingerprint, %llu stored, %llu corrupt "
+            "discarded\n",
             report.skipped_count(),
             static_cast<unsigned long long>(report.store.verdict_stores),
-            static_cast<unsigned long long>(report.store.entail_loaded),
-            static_cast<unsigned long long>(report.store.entail_flushed),
             static_cast<unsigned long long>(report.store.corrupt_discarded));
         size_t replayed = 0, solved = 0;
         for (const auto& r : report.results) {
@@ -907,7 +891,6 @@ int cmd_watch(const Args& args) {
     driver::WatchOptions opts;
     opts.driver.jobs = args.jobs;
     opts.driver.timeout_ms = args.timeout_ms;
-    opts.driver.use_cache = !args.no_cache;
     if (!args.no_store)
         opts.driver.store_dir = args.store_dir;
     opts.driver.check = check_options(args);
