@@ -206,7 +206,6 @@ void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
         result_.timed_out = true;
         return;
     }
-    ob.diag_first = diags_.diagnostics().size();
     if (!ob.result.proven()) {
         ++result_.failed;
         const std::string& tname = design_.net(target).name;
@@ -241,7 +240,6 @@ void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
         if (ob.result.witness)
             note_witness(*ob.result.witness, loc);
     }
-    ob.diag_count = diags_.diagnostics().size() - ob.diag_first;
     result_.obligations.push_back(std::move(ob));
 }
 

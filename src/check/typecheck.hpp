@@ -92,12 +92,6 @@ struct Obligation {
     double solve_ms = 0;
     /// The verdict came from CheckOptions::oracle, not the engine.
     bool replayed = false;
-    /// Range [diag_first, diag_first + diag_count) of this obligation's
-    /// diagnostics in DiagnosticEngine::diagnostics() — the error plus
-    /// its witness notes; empty for proven obligations. Lets consumers
-    /// (svlc serve) attribute pushed diagnostics to obligations.
-    size_t diag_first = 0;
-    size_t diag_count = 0;
 };
 
 struct CheckResult {

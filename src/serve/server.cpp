@@ -49,17 +49,10 @@ int64_t lsp_severity(Severity sev) {
 
 /// Converts collected diagnostics to an LSP-flavored array:
 /// 0-based positions (SourceLoc is 1-based), zero-width ranges, stable
-/// code strings. Location-less diagnostics anchor at 0:0. `skip` (when
-/// given) suppresses the diagnostics at the flagged indices — used to
-/// push only re-solved obligations' diagnostics on an incremental edit.
-JsonValue lsp_diagnostics(const DiagnosticEngine& diags,
-                          const std::vector<bool>* skip = nullptr) {
+/// code strings. Location-less diagnostics anchor at 0:0.
+JsonValue lsp_diagnostics(const DiagnosticEngine& diags) {
     JsonValue arr = JsonValue::array();
-    size_t index = 0;
     for (const Diagnostic& d : diags.diagnostics()) {
-        size_t i = index++;
-        if (skip && i < skip->size() && (*skip)[i])
-            continue;
         uint64_t line = d.loc.valid() ? d.loc.line - 1 : 0;
         uint64_t col = d.loc.valid() && d.loc.column ? d.loc.column - 1 : 0;
         JsonValue pos = JsonValue::object();
@@ -93,8 +86,8 @@ const char* outcome_status(driver::JobStatus s, bool have_result) {
 } // namespace
 
 /// The rendered outcome of one verify, cached per session. Only
-/// deterministic verdicts (secure/rejected) are replayable; timeout and
-/// error outcomes always re-run.
+/// deterministic verdicts (secure/rejected) answer a session hit; timeout
+/// and error outcomes always re-run.
 struct Outcome {
     bool valid = false;
     std::string status; // secure | rejected | timeout | error
@@ -106,11 +99,7 @@ struct Outcome {
     uint64_t obligations = 0;
     uint64_t failed = 0;
     uint64_t downgrades = 0;
-    /// Obligation-level incrementality telemetry from the run that
-    /// produced this outcome (store replay vs. fresh solves).
-    uint64_t obligations_replayed = 0;
-    uint64_t obligations_solved = 0;
-    JsonValue lsp; // array for publishDiagnostics
+    JsonValue lsp; // array for publishDiagnostics (always the full set)
 };
 
 struct Server::Conn {
@@ -134,8 +123,7 @@ struct Server::Session {
           comp(std::move(popts)) {}
 };
 
-Server::Server(ServeOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache_capacity) {}
+Server::Server(ServeOptions opts) : opts_(std::move(opts)) {}
 
 Server::~Server() {
     if (g_wake_fd == wake_pipe_[1])
@@ -274,13 +262,6 @@ JsonValue Server::do_status() {
     result.set("max_sessions",
                JsonValue(static_cast<uint64_t>(opts_.max_sessions)));
 
-    solver::EntailCache::Stats cs = cache_.stats();
-    JsonValue cache = JsonValue::object();
-    cache.set("entries", JsonValue(cs.entries));
-    cache.set("hits", JsonValue(cs.hits));
-    cache.set("misses", JsonValue(cs.misses));
-    result.set("cache", std::move(cache));
-
     JsonValue counters = JsonValue::object();
     counters.set("requests", JsonValue(stats_.requests));
     counters.set("verifies", JsonValue(stats_.verifies));
@@ -380,23 +361,17 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
 
     Session& session = obtain_session(key, name, top, copts);
     Outcome& out = session.outcome;
-    // An incremental edit of an already-verified session pushes only the
-    // diagnostics of re-solved obligations; a first verify pushes all.
-    bool had_outcome = out.valid;
     bool hit = out.valid && out.fingerprint == fp &&
                (out.status == "secure" || out.status == "rejected");
-    JsonValue push_lsp;
     if (!hit) {
         ++stats_.verifies;
-        copts.solver.cache = &cache_;
         session.comp.options().check = copts;
         driver::JobSpec spec;
         spec.name = name;
         spec.top = top;
         spec.timeout_ms = timeout_ms;
-        driver::JobResult res =
-            driver::verify_text(session.comp, spec, source,
-                                opts_.default_timeout_ms, store_.get());
+        driver::JobResult res = driver::verify_text(
+            session.comp, spec, source, opts_.default_timeout_ms);
         const check::CheckResult* cres = session.comp.check();
         out = Outcome();
         out.valid = true;
@@ -406,29 +381,13 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
         out.obligations = res.obligations;
         out.failed = res.failed;
         out.downgrades = res.downgrades;
-        out.obligations_replayed = res.obligations_replayed;
-        out.obligations_solved = res.obligations_solved;
         out.lsp = lsp_diagnostics(session.comp.diags());
-        push_lsp = out.lsp;
         if (cres) {
             out.human = pipeline::check_human_summary(session.comp, *cres);
             out.report =
                 pipeline::check_report_json(session.comp, *cres, name);
             out.stats_line =
                 pipeline::solver_stats_line(cres->solver_stats);
-            if (had_outcome && res.obligations_replayed > 0) {
-                // didChange of a known buffer: drop replayed obligations'
-                // diagnostics from the push (the client already has them;
-                // the full array stays in the cached outcome for
-                // responses). Non-obligation diagnostics always push.
-                std::vector<bool> skip(
-                    session.comp.diags().diagnostics().size(), false);
-                for (const check::Obligation& ob : cres->obligations)
-                    if (ob.replayed)
-                        for (size_t i = 0; i < ob.diag_count; ++i)
-                            skip[ob.diag_first + i] = true;
-                push_lsp = lsp_diagnostics(session.comp.diags(), &skip);
-            }
         }
         // Persist the verdict under the same fingerprint a batch run
         // computes, so a later cold `svlc batch --store` warm-skips
@@ -438,13 +397,14 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
     } else {
         ++stats_.session_hits;
         touch(session);
-        push_lsp = out.lsp;
     }
 
     // Push diagnostics to the requester before the response, LSP-style.
+    // Every push carries the buffer's full set: an LSP client replaces a
+    // document's diagnostics wholesale on each publish.
     JsonValue diag_params = JsonValue::object();
     diag_params.set("name", JsonValue(name));
-    diag_params.set("diagnostics", push_lsp);
+    diag_params.set("diagnostics", out.lsp);
     std::string send_error;
     if (!net::write_frame(
             push_to.stream,
@@ -460,12 +420,6 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
     result.set("obligations", JsonValue(out.obligations));
     result.set("failed", JsonValue(out.failed));
     result.set("downgrades", JsonValue(out.downgrades));
-    // Session hits replay every proof; fresh runs report the oracle's
-    // actual split.
-    result.set("obligations_replayed",
-               JsonValue(hit ? out.obligations : out.obligations_replayed));
-    result.set("obligations_solved",
-               JsonValue(hit ? uint64_t{0} : out.obligations_solved));
     result.set("human", JsonValue(out.human));
     result.set("diagnostics", JsonValue(out.diagnostics));
     result.set("report", JsonValue(out.report));

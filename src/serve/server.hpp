@@ -3,20 +3,21 @@
 // holding the expensive verification state hot in memory across
 // requests:
 //
-//   * one in-memory solver::EntailCache shared by every session (never
-//     persisted; the only entailment cache left in svlc),
-//   * the persistent incr::ArtifactStore (verdicts and obligation
-//     records written at verify time, so a later cold `svlc batch
-//     --store` warm-skips unchanged jobs),
 //   * a server-wide LRU table of sessions, each owning an elaborated
 //     pipeline::Compilation plus the rendered outcome of its last
-//     verify, keyed by (buffer name, top, checker options).
+//     verify, keyed by (buffer name, top, checker options),
+//   * optionally the persistent incr::ArtifactStore, written through
+//     with job verdicts only, so a later cold `svlc batch --store`
+//     warm-skips jobs the daemon already decided.
 //
 // A verify of an unchanged job — same key, same job fingerprint — is a
 // session hit: the response replays the cached outcome with zero
 // re-elaboration and zero solver calls. The table is server-wide rather
 // than per-connection precisely so that back-to-back `svlc check
-// --remote` processes (each a fresh connection) hit it.
+// --remote` processes (each a fresh connection) hit it. Any other verify
+// (a session miss) solves every obligation: it neither replays
+// obligation records from the store nor consults an entailment cache,
+// because under the cdcl backend a solve is cheaper than either lookup.
 //
 // Single-threaded by design: requests are handled to completion in
 // arrival order and responses are written as whole frames, so
@@ -52,6 +53,7 @@ struct ServeOptions {
     /// Default per-verify deadline in ms (requests may override); 0 =
     /// unlimited.
     uint64_t default_timeout_ms = 0;
+    /// No longer read: the daemon keeps no entailment cache.
     size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
     /// Checker configuration baseline; per-request options overlay it.
     check::CheckOptions default_check;
@@ -113,7 +115,6 @@ private:
     void touch(Session& s);
 
     ServeOptions opts_;
-    solver::EntailCache cache_;
     std::unique_ptr<incr::ArtifactStore> store_;
     std::unique_ptr<net::UnixListener> listener_;
     std::list<std::unique_ptr<Conn>> conns_;

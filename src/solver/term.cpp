@@ -130,21 +130,63 @@ TermProgram compile_term(const sem::TermTable& terms, sem::TermId id,
     return p;
 }
 
-// Replicates eval3's rules instruction for instruction.
+namespace {
+
+/// The result of a BitVec binary operator on two known slots: width and
+/// wrap rules as in support/bitvec.cpp (the max operand width, except
+/// shifts, which keep the left operand's; divide by zero gives all ones,
+/// modulo by zero the dividend).
+void apply_binary(BinaryOp op, TermScratch::Slot& a,
+                  const TermScratch::Slot& b) {
+    uint32_t w = a.width > b.width ? a.width : b.width;
+    uint64_t m = BitVec::mask(w);
+    uint64_t x = a.value, y = b.value;
+    switch (op) {
+    case BinaryOp::Add: a = {true, w, (x + y) & m}; return;
+    case BinaryOp::Sub: a = {true, w, (x - y) & m}; return;
+    case BinaryOp::Mul: a = {true, w, (x * y) & m}; return;
+    case BinaryOp::Div: a = {true, w, y == 0 ? m : (x / y) & m}; return;
+    case BinaryOp::Mod: a = {true, w, y == 0 ? x & m : (x % y) & m}; return;
+    case BinaryOp::And: a = {true, w, x & y & m}; return;
+    case BinaryOp::Or: a = {true, w, (x | y) & m}; return;
+    case BinaryOp::Xor: a = {true, w, (x ^ y) & m}; return;
+    case BinaryOp::Shl:
+        a.value = y >= a.width ? 0 : (x << y) & BitVec::mask(a.width);
+        return;
+    case BinaryOp::Shr:
+        a.value = y >= a.width ? 0 : (x >> y) & BitVec::mask(a.width);
+        return;
+    case BinaryOp::Eq: a = {true, 1, x == y}; return;
+    case BinaryOp::Ne: a = {true, 1, x != y}; return;
+    case BinaryOp::Lt: a = {true, 1, x < y}; return;
+    case BinaryOp::Le: a = {true, 1, x <= y}; return;
+    case BinaryOp::Gt: a = {true, 1, x > y}; return;
+    case BinaryOp::Ge: a = {true, 1, x >= y}; return;
+    case BinaryOp::LogAnd: a = {true, 1, x != 0 && y != 0}; return;
+    case BinaryOp::LogOr: a = {true, 1, x != 0 || y != 0}; return;
+    }
+}
+
+} // namespace
+
+// Replicates eval3's rules instruction for instruction, and BitVec's
+// width rules operator for operator, on raw words: the BitVec throws
+// (slice out of range, concatenation over 64 bits) are raised by
+// rebuilding the offending BitVec operation.
 std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
                                 uint64_t values, uint64_t assigned,
                                 TermScratch& scratch) {
-    auto& st = scratch.stack;
-    st.clear();
-    if (st.capacity() < p.max_stack)
-        st.reserve(p.max_stack);
-    using Val = TermScratch::Val;
+    using Slot = TermScratch::Slot;
+    if (scratch.stack.size() < p.max_stack)
+        scratch.stack.resize(p.max_stack);
+    Slot* st = scratch.stack.data();
+    size_t sp = 0; // slots in use
 
     for (uint32_t pc = 0; pc < p.size; ++pc) {
         const TermInstr& i = p.code[pc];
         switch (i.op) {
         case TermOp::Const:
-            st.push_back(Val{true, BitVec(i.width, i.imm)});
+            st[sp++] = Slot{true, i.width, i.imm & BitVec::mask(i.width)};
             break;
         case TermOp::Var: {
             const BitLayout::Field& f =
@@ -152,123 +194,108 @@ std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
             uint64_t fmask = BitVec::mask(f.width);
             bool known = (((assigned >> f.offset) & fmask) == fmask);
             uint64_t v = (values >> f.offset) & fmask;
-            st.push_back(Val{known, known ? BitVec(f.width, v) : BitVec()});
+            st[sp++] = Slot{known, f.width, known ? v : 0};
             break;
         }
         case TermOp::Unknown:
-            st.push_back(Val{false, BitVec()});
+            st[sp++] = Slot{};
             break;
         case TermOp::Slice: {
-            Val& v = st.back();
-            if (v.known)
-                v.v = v.v.slice(i.a, i.b);
+            Slot& v = st[sp - 1];
+            if (!v.known)
+                break;
+            if (i.a < i.b || i.a >= v.width)
+                (void)BitVec(v.width, v.value).slice(i.a, i.b); // throws
+            v.width = i.a - i.b + 1;
+            v.value = (v.value >> i.b) & BitVec::mask(v.width);
             break;
         }
         case TermOp::Unary: {
-            Val& v = st.back();
+            Slot& v = st[sp - 1];
             if (!v.known)
                 break;
+            uint64_t m = BitVec::mask(v.width);
             switch (static_cast<UnaryOp>(i.sub)) {
-            case UnaryOp::Neg: v.v = BitVec(v.v.width(), 0) - v.v; break;
-            case UnaryOp::BitNot: v.v = v.v.bit_not(); break;
-            case UnaryOp::LogNot: v.v = v.v.log_not(); break;
-            case UnaryOp::RedAnd: v.v = v.v.red_and(); break;
-            case UnaryOp::RedOr: v.v = v.v.red_or(); break;
-            case UnaryOp::RedXor: v.v = v.v.red_xor(); break;
+            case UnaryOp::Neg: v.value = (0 - v.value) & m; break;
+            case UnaryOp::BitNot: v.value = ~v.value & m; break;
+            case UnaryOp::LogNot: v = {true, 1, v.value == 0}; break;
+            case UnaryOp::RedAnd: v = {true, 1, v.value == m}; break;
+            case UnaryOp::RedOr: v = {true, 1, v.value != 0}; break;
+            case UnaryOp::RedXor:
+                v = {true, 1,
+                     static_cast<uint64_t>(__builtin_popcountll(v.value) & 1)};
+                break;
             }
             break;
         }
         case TermOp::Binary: {
-            Val b = st.back();
-            st.pop_back();
-            Val& a = st.back();
+            const Slot& b = st[--sp];
+            Slot& a = st[sp - 1];
             auto op = static_cast<BinaryOp>(i.sub);
+            bool a_zero = a.known && a.value == 0;
+            bool b_zero = b.known && b.value == 0;
             // Short-circuit rules, exactly eval3's.
-            if (op == BinaryOp::LogAnd) {
-                if ((a.known && a.v.is_zero()) || (b.known && b.v.is_zero()))
-                    a = Val{true, BitVec(1, 0)};
-                else if (a.known && b.known)
-                    a.v = a.v.log_and(b.v);
-                else
-                    a.known = false;
+            if (op == BinaryOp::LogAnd && (a_zero || b_zero)) {
+                a = Slot{true, 1, 0};
                 break;
             }
-            if (op == BinaryOp::LogOr) {
-                if ((a.known && a.v.to_bool()) || (b.known && b.v.to_bool()))
-                    a = Val{true, BitVec(1, 1)};
-                else if (a.known && b.known)
-                    a.v = a.v.log_or(b.v);
-                else
-                    a.known = false;
+            if (op == BinaryOp::LogOr && ((a.known && !a_zero) ||
+                                          (b.known && !b_zero))) {
+                a = Slot{true, 1, 1};
                 break;
             }
-            if (op == BinaryOp::And || op == BinaryOp::Mul) {
-                if ((a.known && a.v.is_zero()) || (b.known && b.v.is_zero())) {
-                    a = Val{true, BitVec(i.width, 0)};
-                    break;
-                }
+            if ((op == BinaryOp::And || op == BinaryOp::Mul) &&
+                (a_zero || b_zero)) {
+                a = Slot{true, i.width, 0};
+                break;
             }
             if (!a.known || !b.known) {
                 a.known = false;
                 break;
             }
-            switch (op) {
-            case BinaryOp::Add: a.v = a.v + b.v; break;
-            case BinaryOp::Sub: a.v = a.v - b.v; break;
-            case BinaryOp::Mul: a.v = a.v * b.v; break;
-            case BinaryOp::Div: a.v = a.v / b.v; break;
-            case BinaryOp::Mod: a.v = a.v % b.v; break;
-            case BinaryOp::And: a.v = a.v & b.v; break;
-            case BinaryOp::Or: a.v = a.v | b.v; break;
-            case BinaryOp::Xor: a.v = a.v ^ b.v; break;
-            case BinaryOp::Shl: a.v = a.v << b.v; break;
-            case BinaryOp::Shr: a.v = a.v >> b.v; break;
-            case BinaryOp::Eq: a.v = a.v.eq(b.v); break;
-            case BinaryOp::Ne: a.v = a.v.ne(b.v); break;
-            case BinaryOp::Lt: a.v = a.v.lt(b.v); break;
-            case BinaryOp::Le: a.v = a.v.le(b.v); break;
-            case BinaryOp::Gt: a.v = a.v.gt(b.v); break;
-            case BinaryOp::Ge: a.v = a.v.ge(b.v); break;
-            case BinaryOp::LogAnd:
-            case BinaryOp::LogOr: break; // handled above
-            }
+            apply_binary(op, a, b);
             break;
         }
         case TermOp::Cond: {
-            Val f = st.back();
-            st.pop_back();
-            Val t = st.back();
-            st.pop_back();
-            Val& c = st.back();
+            const Slot& f = st[--sp];
+            const Slot& t = st[--sp];
+            Slot& c = st[sp - 1];
             if (c.known)
-                c = c.v.to_bool() ? t : f;
-            else if (t.known && f.known && t.v == f.v)
+                c = c.value != 0 ? t : f;
+            else if (t.known && f.known && t.width == f.width &&
+                     t.value == f.value)
                 c = t; // both branches agree; selector irrelevant
             else
                 c.known = false;
             break;
         }
         case TermOp::Concat: {
-            size_t base = st.size() - i.a;
-            Val acc = st[base];
+            size_t base = sp - i.a;
+            Slot acc = st[base];
             for (uint32_t k = 1; k < i.a && acc.known; ++k) {
-                const Val& part = st[base + k];
-                if (!part.known)
+                const Slot& part = st[base + k];
+                if (!part.known) {
                     acc.known = false;
-                else
-                    acc.v = acc.v.concat(part.v);
+                    break;
+                }
+                uint32_t w = acc.width + part.width;
+                if (w > BitVec::kMaxWidth)
+                    (void)BitVec(acc.width, acc.value)
+                        .concat(BitVec(part.width, part.value)); // throws
+                acc.value = (acc.value << part.width) | part.value;
+                acc.width = w;
             }
-            st.resize(base);
-            st.push_back(acc);
+            sp = base;
+            st[sp++] = acc;
             break;
         }
         }
     }
 
-    assert(st.size() == 1);
-    if (!st.back().known)
+    assert(sp == 1);
+    if (!st[0].known)
         return std::nullopt;
-    return st.back().v;
+    return BitVec(st[0].width, st[0].value);
 }
 
 } // namespace svlc::solver

@@ -97,13 +97,16 @@ struct TermProgram {
 TermProgram compile_term(const sem::TermTable& terms, sem::TermId id,
                          const BitLayout& layout, Arena& arena);
 
-/// Reusable evaluation scratch (avoids a per-call allocation).
+/// Reusable evaluation scratch (avoids a per-call allocation). Values
+/// live on the stack as raw words, `value` masked to `width`; eval_term
+/// builds a BitVec only for its result.
 struct TermScratch {
-    struct Val {
+    struct Slot {
         bool known = false;
-        BitVec v;
+        uint32_t width = 1;
+        uint64_t value = 0;
     };
-    std::vector<Val> stack;
+    std::vector<Slot> stack;
 };
 
 /// Evaluates a compiled term over a packed partial assignment: a variable

@@ -14,10 +14,6 @@ BitVec::BitVec(uint32_t width, uint64_t value) : width_(width) {
     value_ = value & mask(width);
 }
 
-uint64_t BitVec::mask(uint32_t width) {
-    return width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-}
-
 BitVec BitVec::resize(uint32_t width) const {
     return BitVec(width, value_);
 }

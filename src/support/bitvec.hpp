@@ -36,7 +36,9 @@ public:
     [[nodiscard]] bool to_bool() const { return value_ != 0; }
 
     /// Mask covering `width` low bits.
-    static uint64_t mask(uint32_t width);
+    static constexpr uint64_t mask(uint32_t width) {
+        return width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
+    }
 
     /// Returns this value resized to `width` (zero-extended or truncated).
     [[nodiscard]] BitVec resize(uint32_t width) const;

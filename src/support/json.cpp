@@ -46,27 +46,15 @@ size_t utf8_sequence_length(std::string_view s, size_t i) {
     return utf8_seq_len(s, i);
 }
 
-std::string JsonWriter::escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (size_t i = 0; i < s.size();) {
+void JsonWriter::escape_into(std::string& out, std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    // Bytes that pass through unchanged accumulate as one run [run, i)
+    // and are appended in one call when an escape (or the end) is hit.
+    size_t run = 0;
+    size_t i = 0;
+    while (i < s.size()) {
         unsigned char c = static_cast<unsigned char>(s[i]);
-        if (c < 0x80) {
-            switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (c < 0x20 || c == 0x7f) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += static_cast<char>(c);
-                }
-            }
+        if (c >= 0x20 && c < 0x7f && c != '"' && c != '\\') {
             ++i;
             continue;
         }
@@ -74,14 +62,36 @@ std::string JsonWriter::escape(std::string_view s) {
         // the output stays valid JSON text; anything else (stray
         // continuation bytes, Latin-1, truncated sequences) becomes
         // U+FFFD rather than corrupting the whole document.
-        if (size_t len = utf8_seq_len(s, i)) {
-            out.append(s.substr(i, len));
+        size_t len = c >= 0x80 ? utf8_seq_len(s, i) : 0;
+        if (len) {
             i += len;
-        } else {
-            out += "\xef\xbf\xbd";
-            ++i;
+            continue;
         }
+        out.append(s.data() + run, i - run);
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (c < 0x80) { // other control characters, DEL included
+                char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+                out.append(esc, sizeof esc);
+            } else {
+                out += "\xef\xbf\xbd";
+            }
+        }
+        run = ++i;
     }
+    out.append(s.data() + run, i - run);
+}
+
+std::string JsonWriter::escape(std::string_view s) {
+    std::string out;
+    out.reserve(s.size() + 8);
+    escape_into(out, s);
     return out;
 }
 
@@ -143,7 +153,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
     has_elem_.back() = true;
     newline();
     out_ += '"';
-    out_ += escape(k);
+    escape_into(out_, k);
     out_ += indent_ > 0 ? "\": " : "\":";
     pending_key_ = true;
     return *this;
@@ -152,7 +162,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 JsonWriter& JsonWriter::value(std::string_view s) {
     before_value();
     out_ += '"';
-    out_ += escape(s);
+    escape_into(out_, s);
     out_ += '"';
     return *this;
 }

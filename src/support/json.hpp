@@ -60,6 +60,9 @@ public:
     static std::string escape(std::string_view s);
 
 private:
+    /// Appends the escaped form of `s` to `out` (what escape returns).
+    static void escape_into(std::string& out, std::string_view s);
+
     void before_value();
     void newline();
 

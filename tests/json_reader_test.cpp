@@ -207,7 +207,7 @@ TEST(JsonReaderProperty, DumpParseRoundTrip) {
 TEST(JsonReaderProperty, WriterOutputParsesBack) {
     JsonWriter w(2);
     w.begin_object();
-    w.kv("schema", "svlc-serve/v1");
+    w.kv("schema", "svlc-serve/v2");
     w.kv("count", uint64_t{18446744073709551615ull});
     w.kv("neg", int64_t{-42});
     w.kv("ratio", 0.125, 3);
@@ -220,7 +220,7 @@ TEST(JsonReaderProperty, WriterOutputParsesBack) {
     JsonValue v;
     std::string error;
     ASSERT_TRUE(JsonReader::parse(w.str(), v, error)) << error;
-    EXPECT_EQ(v.get_string("schema"), "svlc-serve/v1");
+    EXPECT_EQ(v.get_string("schema"), "svlc-serve/v2");
     EXPECT_EQ(v.get_uint("count"), UINT64_MAX);
     EXPECT_EQ(v.find("neg")->int_val(), -42);
     EXPECT_DOUBLE_EQ(v.find("ratio")->double_val(), 0.125);

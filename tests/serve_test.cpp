@@ -7,7 +7,9 @@
 //   * invalidate forces a re-verify,
 //   * concurrent clients on different sessions never observe
 //     interleaved frames,
-//   * didChange pushes LSP-flavored diagnostics,
+//   * didChange pushes LSP-flavored diagnostics, always the full set,
+//   * a session miss solves: the daemon writes job verdicts through to
+//     its store but never obligation records,
 //   * graceful shutdown flushes the store so a later cold
 //     `svlc batch --store` warm-skips, and
 //   * --idle-timeout exits on its own.
@@ -15,6 +17,7 @@
 #include "serve/server.hpp"
 
 #include "driver/driver.hpp"
+#include "incr/store.hpp"
 #include "pipeline/compilation.hpp"
 #include "support/fsutil.hpp"
 
@@ -161,16 +164,12 @@ TEST(Serve, WarmHitIsByteIdenticalToInProcessCheck) {
               first.get_string("fingerprint"));
 
     // Zero pipeline and zero solver work on the hit: the verify counter
-    // did not move and the entailment cache saw no queries at all.
+    // did not move.
     JsonValue after = call_ok(*client, "status", JsonValue::object());
     EXPECT_EQ(after.find("stats")->get_uint("verifies"),
               before.find("stats")->get_uint("verifies"));
     EXPECT_EQ(after.find("stats")->get_uint("session_hits"),
               before.find("stats")->get_uint("session_hits") + 1);
-    EXPECT_EQ(after.find("cache")->get_uint("hits"),
-              before.find("cache")->get_uint("hits"));
-    EXPECT_EQ(after.find("cache")->get_uint("misses"),
-              before.find("cache")->get_uint("misses"));
 }
 
 TEST(Serve, RemoteCheckMatchesInProcess) {
@@ -260,18 +259,11 @@ TEST(Serve, DidChangePushesDiagnostics) {
     EXPECT_EQ(notes2[0].params.find("diagnostics")->size(), 0u);
 }
 
-TEST(Serve, DidChangeReplaysObligationsAndFiltersPush) {
-    // Obligation-granular incrementality through the daemon: with a store
-    // configured, an edit that changes bytes but no constraint (comment
-    // prepend) re-solves nothing, and the didChange push omits replayed
-    // obligations' diagnostics — the client already has them.
-    fs::path store =
-        fs::temp_directory_path() /
-        ("svlc_serve_test_incr_store_" + std::to_string(::getpid()));
-    fs::remove_all(store);
-    ServeOptions opts = test_options(unique_socket("increplay"));
-    opts.store_dir = store.string();
-    TestServer ts(std::move(opts));
+TEST(Serve, DidChangePushesFullDiagnosticSet) {
+    // An LSP client replaces a document's diagnostics on every publish,
+    // so an edit that changes bytes but no constraint (a comment) must
+    // push the rejected buffer's errors again, not an empty set.
+    TestServer ts(test_options(unique_socket("fullpush")));
     ASSERT_TRUE(ts.start());
     std::string error;
     auto client = Client::connect(ts.server.socket_path(), error);
@@ -281,42 +273,77 @@ TEST(Serve, DidChangeReplaysObligationsAndFiltersPush) {
     JsonValue first = call_ok(*client, "didChange",
                               verify_params("i.svlc", kRejectedSrc), &notes);
     EXPECT_EQ(first.get_string("status"), "rejected");
-    uint64_t total = first.get_uint("obligations");
-    ASSERT_GT(total, 0u);
-    EXPECT_EQ(first.get_uint("obligations_solved"), total);
-    EXPECT_EQ(first.get_uint("obligations_replayed"), 0u);
     ASSERT_EQ(notes.size(), 1u);
-    ASSERT_GE(notes[0].params.find("diagnostics")->size(), 1u);
+    const JsonValue* pushed = notes[0].params.find("diagnostics");
+    ASSERT_NE(pushed, nullptr);
+    ASSERT_GE(pushed->size(), 1u);
 
-    // Comment-prepend edit: same constraints, new bytes. Every proof
-    // replays; the push carries nothing the client hasn't seen.
+    // A comment appended below the module: new bytes, same constraints,
+    // same diagnostic positions.
+    std::string touched = std::string(kRejectedSrc) + "// touch\n";
     std::vector<RpcMessage> notes2;
-    JsonValue second = call_ok(
-        *client, "didChange",
-        verify_params("i.svlc", "// touch\n" + std::string(kRejectedSrc)),
-        &notes2);
+    JsonValue second = call_ok(*client, "didChange",
+                               verify_params("i.svlc", touched), &notes2);
     EXPECT_EQ(second.get_string("status"), "rejected");
     EXPECT_FALSE(second.get_bool("cached")); // bytes changed: not a hit
-    EXPECT_EQ(second.get_uint("obligations"), total);
-    EXPECT_EQ(second.get_uint("obligations_replayed"), total);
-    EXPECT_EQ(second.get_uint("obligations_solved"), 0u);
+    EXPECT_EQ(second.get_uint("obligations"), first.get_uint("obligations"));
     ASSERT_EQ(notes2.size(), 1u);
-    EXPECT_EQ(notes2[0].params.find("diagnostics")->size(), 0u);
-    // The response still carries the full (re-rendered) diagnostics.
-    EXPECT_FALSE(second.get_string("diagnostics").empty());
+    const JsonValue* pushed2 = notes2[0].params.find("diagnostics");
+    ASSERT_NE(pushed2, nullptr);
+    EXPECT_GE(pushed2->size(), 1u);
+    EXPECT_TRUE(*pushed2 == *pushed)
+        << pushed2->dump(0) << " vs " << pushed->dump(0);
 
-    // Write-through: a cold batch over the store replays the obligations
-    // of a renamed (job-fingerprint-missing) copy of the same design.
-    ts.stop();
-    driver::DriverOptions dopts;
-    dopts.store_dir = store.string();
-    driver::JobSpec job;
-    job.name = "renamed.svlc";
-    job.source = kRejectedSrc;
-    driver::BatchReport report = driver::VerificationDriver(dopts).run({job});
-    EXPECT_EQ(report.skipped_count(), 0u);
-    EXPECT_EQ(report.results[0].obligations_replayed, total);
-    EXPECT_EQ(report.results[0].obligations_solved, 0u);
+    // A session hit pushes the full set too.
+    std::vector<RpcMessage> notes3;
+    JsonValue third = call_ok(*client, "didChange",
+                              verify_params("i.svlc", touched), &notes3);
+    EXPECT_TRUE(third.get_bool("cached"));
+    ASSERT_EQ(notes3.size(), 1u);
+    EXPECT_TRUE(*notes3[0].params.find("diagnostics") == *pushed2);
+}
+
+TEST(Serve, SessionMissSolvesAndWritesOnlyVerdicts) {
+    fs::path store =
+        fs::temp_directory_path() /
+        ("svlc_serve_test_solve_store_" + std::to_string(::getpid()));
+    fs::remove_all(store);
+    {
+        ServeOptions opts = test_options(unique_socket("solve"));
+        opts.store_dir = store.string();
+        TestServer ts(std::move(opts));
+        ASSERT_TRUE(ts.start());
+        std::string error;
+        auto client = Client::connect(ts.server.socket_path(), error);
+        ASSERT_TRUE(client.has_value()) << error;
+
+        JsonValue first = call_ok(*client, "didChange",
+                                  verify_params("s.svlc", kRejectedSrc));
+        EXPECT_EQ(first.get_string("status"), "rejected");
+        JsonValue second = call_ok(
+            *client, "didChange",
+            verify_params("s.svlc", std::string(kRejectedSrc) + "// touch\n"));
+        EXPECT_EQ(second.get_string("status"), "rejected");
+        EXPECT_FALSE(second.get_bool("cached"));
+        EXPECT_EQ(second.find("obligations_replayed"), nullptr);
+        EXPECT_EQ(second.find("obligations_solved"), nullptr);
+
+        JsonValue status = call_ok(*client, "status", JsonValue::object());
+        EXPECT_EQ(status.get_string("schema"), "svlc-serve/v2");
+        EXPECT_EQ(status.find("cache"), nullptr);
+        EXPECT_EQ(status.find("stats")->get_uint("verifies"), 2u);
+        ASSERT_NE(status.find("store"), nullptr);
+        EXPECT_EQ(status.find("store")->get_uint("verdict_stores"), 2u);
+    }
+
+    // Both verdicts are on disk (one per job fingerprint); no
+    // obligation record is.
+    incr::ArtifactStore reopened(incr::StoreOptions{store.string()});
+    std::string error;
+    ASSERT_TRUE(reopened.open(error)) << error;
+    EXPECT_EQ(reopened.list_verdicts().size(), 2u);
+    EXPECT_TRUE(reopened.list_obligations().empty());
+    EXPECT_TRUE(fs::is_empty(store / "v2" / "obligations"));
     fs::remove_all(store);
 }
 
@@ -398,10 +425,6 @@ TEST(Serve, ShutdownFlushesStoreForBatchWarmSkip) {
         // The daemon writes the verdict under the same fingerprint a
         // batch job with this name computes.
         call_ok(*client, "verify", verify_params(file, source));
-        // The daemon's entailment cache (in memory only) saw the
-        // design's enumeration queries.
-        JsonValue status = call_ok(*client, "status", JsonValue::object());
-        EXPECT_GT(status.find("cache")->get_uint("misses"), 0u);
         // Graceful shutdown via the protocol.
         call_ok(*client, "shutdown", JsonValue::object());
         ts.thread.join();
@@ -479,7 +502,7 @@ TEST(Serve, ProtocolErrors) {
 
     // The connection survives both errors.
     JsonValue status = call_ok(*client, "status", JsonValue::object());
-    EXPECT_EQ(status.get_string("schema"), "svlc-serve/v1");
+    EXPECT_EQ(status.get_string("schema"), "svlc-serve/v2");
 }
 
 } // namespace
