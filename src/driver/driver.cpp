@@ -172,25 +172,6 @@ bool store_job_verdict(incr::ArtifactStore& store, const std::string& fp,
     return true;
 }
 
-JobResult job_result_from_verdict(const std::string& name,
-                                  const std::string& fp,
-                                  incr::StoredVerdict verdict, bool skipped) {
-    JobResult res;
-    res.name = name;
-    res.status = verdict.secure ? JobStatus::Secure : JobStatus::Rejected;
-    res.skipped = skipped;
-    res.fingerprint = fp;
-    res.attempts = skipped ? 0 : 1;
-    res.obligations = verdict.obligations;
-    res.failed = verdict.failed;
-    res.downgrades = verdict.downgrades;
-    // A whole-job hit replays every proof without touching the pipeline.
-    res.obligations_replayed = verdict.obligations;
-    res.flagged = std::move(verdict.flagged);
-    res.diagnostics = std::move(verdict.diagnostics);
-    return res;
-}
-
 JobResult VerificationDriver::run_job_once(const JobSpec& spec,
                                            const std::string& text) {
     if (spec.hunt_depth > 0)
@@ -213,15 +194,30 @@ JobResult VerificationDriver::run_job(const JobSpec& spec) {
 
     // Fingerprint gate: an unchanged job (same source bytes, top, checker
     // configuration, tool version) replays its stored verdict without
-    // touching the pipeline at all. Hunt jobs stay outside the store:
-    // the fingerprint does not cover search depth or seed, so a cached
-    // check verdict and a hunt outcome must never alias.
+    // touching the pipeline at all: the exact verdict-set fields a fresh
+    // run would report, with timings and solver stats zero. Hunt jobs
+    // stay outside the store: the fingerprint does not cover search
+    // depth or seed, so a cached check verdict and a hunt outcome must
+    // never alias.
     std::string fp;
     if (store_ && spec.hunt_depth == 0) {
         fp = incr::job_fingerprint(spec.name, text, spec.top, opts_.check);
-        if (auto hit = store_->load_verdict(fp))
-            return job_result_from_verdict(spec.name, fp, std::move(*hit),
-                                           /*skipped=*/true);
+        if (auto hit = store_->load_verdict(fp)) {
+            JobResult res;
+            res.name = spec.name;
+            res.status = hit->secure ? JobStatus::Secure : JobStatus::Rejected;
+            res.skipped = true;
+            res.attempts = 0;
+            res.fingerprint = fp;
+            res.obligations = hit->obligations;
+            res.failed = hit->failed;
+            res.downgrades = hit->downgrades;
+            // A whole-job hit replays every proof.
+            res.obligations_replayed = hit->obligations;
+            res.flagged = std::move(hit->flagged);
+            res.diagnostics = std::move(hit->diagnostics);
+            return res;
+        }
     }
 
     // Retry once on transient failure (allocation failure, filesystem

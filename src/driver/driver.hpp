@@ -153,8 +153,7 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
 /// the bounded symbolic leak hunter to spec.hunt_depth. A confirmed leak
 /// trace maps to Rejected, no leak found (or a no-secrets design) to
 /// Secure; the rendered hunt report travels in
-/// JobResult::diagnostics. Shared by the batch driver and the
-/// distributed worker so both render hunt jobs identically.
+/// JobResult::diagnostics.
 JobResult hunt_text(const JobSpec& spec, const std::string& text);
 
 /// Persists a job's verdict under fingerprint `fp`. Only deterministic
@@ -163,16 +162,6 @@ JobResult hunt_text(const JobSpec& spec, const std::string& text);
 /// could mask a now-healthy run. Returns true when stored.
 bool store_job_verdict(incr::ArtifactStore& store, const std::string& fp,
                        const JobResult& res);
-
-/// Materializes the JobResult a stored verdict replays: the exact
-/// verdict-set fields a fresh run would report (timings and solver
-/// stats zero, `skipped` set when the verdict came from a store rather
-/// than a fresh remote run). Shared by the batch driver's fingerprint
-/// gate and the distributed coordinator/worker (src/dist), so every
-/// replay path renders one job identically.
-JobResult job_result_from_verdict(const std::string& name,
-                                  const std::string& fp,
-                                  incr::StoredVerdict verdict, bool skipped);
 
 class VerificationDriver {
 public:

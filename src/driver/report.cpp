@@ -182,7 +182,7 @@ std::string BatchReport::summary() const {
     out += buf;
     // Worker-count-invariant only without a store: replayed obligations
     // never reach the solver, so with a store this line depends on the
-    // store's history (a fleet's workers replay duplicate obligations).
+    // store's history.
     // Enumeration and search counters go to stderr and full JSON.
     std::snprintf(buf, sizeof buf, "solver: %llu queries, %llu syntactic\n",
                   static_cast<unsigned long long>(totals.queries),

@@ -75,27 +75,6 @@ struct Cursor {
     }
 };
 
-/// Validation outcome of one store file, separated from the discard
-/// decision: the owning store deletes its own corrupt files, but a merge
-/// must never delete a *peer's* files.
-enum class PayloadState { Missing, Corrupt, Ok };
-
-PayloadState read_payload_raw(const std::string& path, const char* kind,
-                              std::string& out) {
-    std::string content;
-    if (!read_file(path, content))
-        return PayloadState::Missing;
-    std::string header = header_for(kind);
-    if (content.size() < header.size() + kTrailerLen ||
-        content.compare(0, header.size(), header) != 0)
-        return PayloadState::Corrupt;
-    std::string body = content.substr(0, content.size() - kTrailerLen);
-    if (content.substr(content.size() - kTrailerLen) != trailer_for(body))
-        return PayloadState::Corrupt;
-    out = body.substr(header.size());
-    return PayloadState::Ok;
-}
-
 } // namespace
 
 ArtifactStore::ArtifactStore(StoreOptions opts) : opts_(std::move(opts)) {}
@@ -156,12 +135,18 @@ bool ArtifactStore::open(std::string& error) {
 
 std::optional<std::string> ArtifactStore::read_payload(const std::string& path,
                                                        const char* kind) {
-    std::string payload;
-    switch (read_payload_raw(path, kind, payload)) {
-    case PayloadState::Missing: return std::nullopt;
-    case PayloadState::Corrupt: discard(path); return std::nullopt;
-    case PayloadState::Ok: return payload;
+    std::string content;
+    if (!read_file(path, content))
+        return std::nullopt;
+    std::string header = header_for(kind);
+    if (content.size() >= header.size() + kTrailerLen &&
+        content.compare(0, header.size(), header) == 0) {
+        std::string body = content.substr(0, content.size() - kTrailerLen);
+        if (content.substr(content.size() - kTrailerLen) == trailer_for(body))
+            return body.substr(header.size());
     }
+    // Short, mislabelled or checksum-failing: counted and deleted.
+    discard(path);
     return std::nullopt;
 }
 
@@ -287,11 +272,6 @@ bool ArtifactStore::store_verdict(const std::string& fp,
     return true;
 }
 
-bool ArtifactStore::has_verdict(const std::string& fp) const {
-    std::error_code ec;
-    return fs::exists(verdict_path(fp), ec);
-}
-
 namespace {
 
 /// Shared directory walk for the two sharded fingerprint tables.
@@ -384,77 +364,8 @@ bool ArtifactStore::store_obligation(const std::string& fp,
     return true;
 }
 
-bool ArtifactStore::has_obligation(const std::string& fp) const {
-    std::error_code ec;
-    return fs::exists(obligation_path(fp), ec);
-}
-
 std::vector<std::string> ArtifactStore::list_obligations() const {
     return list_sharded(fs::path(opts_.dir) / "v2" / "obligations");
-}
-
-std::optional<MergeStats>
-ArtifactStore::merge_from(const std::string& peer_dir, std::string& error) {
-    MergeStats ms;
-    std::error_code ec;
-    fs::path peer_v2 = fs::path(peer_dir) / "v2";
-    if (!fs::is_directory(peer_v2, ec)) {
-        error = "peer store '" + peer_dir + "' has no v2/ directory";
-        return std::nullopt;
-    }
-    // A peer on a different (or mangled) store generation contributes
-    // nothing — its encodings are not trusted — but does not fail the
-    // merge: one bad fleet member must not lose everyone else's work.
-    std::string marker;
-    if (!read_file((peer_v2 / "FORMAT").string(), marker) ||
-        marker != std::string(kStoreFormat) + "\n") {
-        ++ms.corrupt_skipped;
-        return ms;
-    }
-
-    // Verdicts: content-addressed by fingerprint, so "already present"
-    // is exactly filename equality. New entries are validated (header,
-    // checksum, full decode) and re-encoded canonically, so a merged
-    // store's files are byte-identical to locally written ones.
-    fs::path peer_verdicts = peer_v2 / "verdicts";
-    for (const std::string& fp : list_sharded(peer_verdicts)) {
-        if (has_verdict(fp)) {
-            ++ms.verdicts_present;
-            continue;
-        }
-        std::string payload;
-        fs::path src = peer_verdicts / fp.substr(0, 2) / fp;
-        StoredVerdict v;
-        if (read_payload_raw(src.string(), "verdict", payload) !=
-                PayloadState::Ok ||
-            !decode_stored_verdict(payload, v)) {
-            ++ms.corrupt_skipped;
-            continue;
-        }
-        if (store_verdict(fp, v))
-            ++ms.verdicts_added;
-    }
-
-    // Obligation records: same content-addressed dedup as verdicts.
-    fs::path peer_obligations = peer_v2 / "obligations";
-    for (const std::string& fp : list_sharded(peer_obligations)) {
-        if (has_obligation(fp)) {
-            ++ms.obligations_present;
-            continue;
-        }
-        std::string payload;
-        fs::path src = peer_obligations / fp.substr(0, 2) / fp;
-        StoredObligation o;
-        if (read_payload_raw(src.string(), "obligation", payload) !=
-                PayloadState::Ok ||
-            !decode_stored_obligation(payload, o)) {
-            ++ms.corrupt_skipped;
-            continue;
-        }
-        if (store_obligation(fp, o))
-            ++ms.obligations_added;
-    }
-    return ms;
 }
 
 ArtifactStore::Stats

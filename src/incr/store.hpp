@@ -19,8 +19,8 @@
 //                                  fingerprint, same sharding
 //
 // Stores written before the entailment cache left the store may still
-// hold a `<root>/v2/entail.cache` file. Nothing reads, merges or deletes
-// it; the verdict and obligation records beside it stay valid.
+// hold a `<root>/v2/entail.cache` file. Nothing reads or deletes it;
+// the verdict and obligation records beside it stay valid.
 //
 // A legacy `<root>/v1/` tree (the pre-obligation schema) is detected by
 // its directory marker and discarded wholesale on open() — rebuilt, never
@@ -76,9 +76,8 @@ struct StoreOptions {
 
 /// Canonical byte serialization of a StoredVerdict — the payload of a
 /// verdict file (store header/checksum excluded). Deterministic: equal
-/// verdicts encode to equal bytes, which is what lets merged stores and
-/// the distributed wire protocol (src/dist) ship verdicts verbatim and
-/// still end up byte-identical on every replica.
+/// verdicts encode to equal bytes, so rewriting a fingerprint's record
+/// leaves its file byte-identical.
 std::string encode_stored_verdict(const StoredVerdict& v);
 /// Inverse of encode_stored_verdict. False on any malformation (fails
 /// closed, like every other store reader).
@@ -104,23 +103,11 @@ struct StoredObligation {
     std::vector<Binding> witness;
 };
 
-/// Canonical byte serialization / parse of a StoredObligation, with the
-/// same determinism contract as the verdict codec (dist ships these
-/// verbatim over the v2 sync protocol).
+/// Canonical byte serialization / parse of an obligation file's payload,
+/// with the same determinism contract as the verdict codec.
 std::string encode_stored_obligation(const StoredObligation& o);
 bool decode_stored_obligation(const std::string& payload,
                               StoredObligation& out);
-
-/// Outcome counters of one ArtifactStore::merge_from call.
-struct MergeStats {
-    uint64_t verdicts_added = 0;
-    uint64_t verdicts_present = 0; ///< identical fingerprint already local
-    uint64_t obligations_added = 0;
-    uint64_t obligations_present = 0;
-    /// Peer files that failed validation — skipped, never fatal, and
-    /// never deleted (the peer store is read-only input).
-    uint64_t corrupt_skipped = 0;
-};
 
 class ArtifactStore {
 public:
@@ -152,33 +139,17 @@ public:
     std::optional<StoredVerdict> load_verdict(const std::string& fp);
     bool store_verdict(const std::string& fp, const StoredVerdict& v);
 
-    /// True when a verdict file exists for `fp` (existence only — a
-    /// corrupt file still surfaces as a miss on load). Used by the
-    /// distributed delta-sync to answer "which of these fingerprints do
-    /// you lack?" without reading any payload.
-    [[nodiscard]] bool has_verdict(const std::string& fp) const;
-    /// Every fingerprint with a verdict file, sorted (deterministic).
+    /// Every fingerprint with a verdict file, sorted (deterministic;
+    /// existence only — a corrupt file still surfaces as a miss on load).
     [[nodiscard]] std::vector<std::string> list_verdicts() const;
 
     /// Per-obligation records, same contracts as the verdict family:
     /// load fails closed (corrupt file deleted, surfaced as a miss),
-    /// store is atomic, has/list are existence-only.
+    /// store is atomic, list is existence-only.
     std::optional<StoredObligation>
     load_obligation(const std::string& fp);
     bool store_obligation(const std::string& fp, const StoredObligation& o);
-    [[nodiscard]] bool has_obligation(const std::string& fp) const;
     [[nodiscard]] std::vector<std::string> list_obligations() const;
-
-    /// Merges another store's job verdicts and obligation records into
-    /// this one. The peer (rooted at `peer_dir`, same layout) is
-    /// read-only: corrupt peer entries are counted in
-    /// MergeStats::corrupt_skipped and skipped, never deleted, never
-    /// fatal. Records are content-addressed, so an identical fingerprint
-    /// dedups and the merged store is byte-identical no matter which
-    /// order peers are merged in. nullopt (with `error`) only when the
-    /// peer store root is missing or unreadable.
-    std::optional<MergeStats> merge_from(const std::string& peer_dir,
-                                         std::string& error);
 
     [[nodiscard]] Stats stats() const;
     [[nodiscard]] const std::string& dir() const { return opts_.dir; }

@@ -22,7 +22,7 @@ public:
 
     /// connect with net::connect_with_retry semantics: keeps re-trying a
     /// not-yet-listening socket with jittered backoff (`svlc client
-    /// --retry`, distributed workers racing their coordinator's bind).
+    /// --retry`, `check --remote` racing a daemon's bind).
     static std::optional<Client> connect(const std::string& socket_path,
                                          const net::RetryOptions& retry,
                                          std::string& error);

@@ -122,8 +122,8 @@ std::optional<UnixStream> connect_with_retry(const std::string& path,
             (err != ECONNREFUSED && err != ENOENT))
             return std::nullopt;
         // Linear backoff capped at 2 s, with deterministic per-process
-        // jitter (pid ⊔ attempt hashed) so a fleet started together
-        // spreads its reconnects instead of thundering in lockstep.
+        // jitter (pid ⊔ attempt hashed) so clients started together
+        // spread their reconnects instead of thundering in lockstep.
         uint64_t base = retry.backoff_ms * static_cast<uint64_t>(attempt + 1);
         if (base > 2000)
             base = 2000;

@@ -97,14 +97,14 @@ private:
 /// server owns it. False for dead sockets, missing paths, non-sockets.
 bool socket_alive(const std::string& path);
 
-/// Bounded reconnect policy for clients racing a server's startup (a CI
-/// worker launched alongside its coordinator, `svlc client --retry`).
+/// Bounded reconnect policy for clients racing a server's startup (a
+/// client launched alongside its daemon, `svlc client --retry`).
 struct RetryOptions {
     /// Re-attempts after the first failed connect; 0 = single try.
     int attempts = 0;
     /// Base delay between attempts; attempt k sleeps ~k*backoff_ms
-    /// (capped at 2 s) plus deterministic jitter so a fleet of workers
-    /// does not reconnect in lockstep.
+    /// (capped at 2 s) plus deterministic jitter so clients started
+    /// together do not reconnect in lockstep.
     uint64_t backoff_ms = 100;
 };
 

@@ -1,8 +1,8 @@
 // Persistent incremental verification (src/incr): fingerprint
-// definition, verdict and obligation round-trips, store merges,
-// corruption recovery, compatibility with stores written by older
-// builds, and the driver integration (fingerprint skips, single-job
-// invalidation, byte-identical verdict sets).
+// definition, verdict and obligation round-trips, corruption recovery,
+// compatibility with stores written by older builds, and the driver
+// integration (fingerprint skips, single-job invalidation, byte-identical
+// verdict sets).
 #include "incr/fingerprint.hpp"
 #include "incr/store.hpp"
 
@@ -251,8 +251,8 @@ TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
 
 TEST_F(IncrTest, CorruptEntailFileLoadsAsEmpty) {
     // Older builds persisted an entailment cache in v2/entail.cache. The
-    // store no longer reads it: even a corrupt one is neither counted,
-    // deleted, nor merged, and the records beside it load as usual.
+    // store no longer reads it: even a corrupt one is neither counted
+    // nor deleted, and the records beside it load as usual.
     ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
@@ -266,18 +266,9 @@ TEST_F(IncrTest, CorruptEntailFileLoadsAsEmpty) {
     EXPECT_TRUE(reopened.load_verdict(fp).has_value());
     EXPECT_EQ(reopened.stats().corrupt_discarded, 0u);
     EXPECT_TRUE(fs::exists(file));
-
-    std::string peer_dir = (dir_ / "merged").string();
-    ArtifactStore peer({peer_dir});
-    ASSERT_TRUE(peer.open(error)) << error;
-    auto stats = peer.merge_from(store_dir(), error);
-    ASSERT_TRUE(stats.has_value()) << error;
-    EXPECT_EQ(stats->verdicts_added, 1u);
-    EXPECT_EQ(stats->corrupt_skipped, 0u);
-    EXPECT_FALSE(fs::exists(fs::path(peer_dir) / "v2" / "entail.cache"));
 }
 
-// --- store merge (distributed delta-sync substrate) ------------------------
+// --- store codecs ----------------------------------------------------------
 
 TEST(IncrCodec, StoredVerdictRoundTripsAndFailsClosed) {
     StoredVerdict v;
@@ -295,7 +286,7 @@ TEST(IncrCodec, StoredVerdictRoundTripsAndFailsClosed) {
     EXPECT_EQ(out.failed, v.failed);
     EXPECT_EQ(out.downgrades, v.downgrades);
     EXPECT_EQ(out.diagnostics, v.diagnostics);
-    // Equal verdicts encode to equal bytes (the merge/wire invariant).
+    // Equal verdicts encode to equal bytes (the store's file payloads).
     EXPECT_EQ(payload, incr::encode_stored_verdict(out));
 
     // Truncation and trailing garbage both fail closed.
@@ -303,149 +294,6 @@ TEST(IncrCodec, StoredVerdictRoundTripsAndFailsClosed) {
         payload.substr(0, payload.size() / 2), out));
     EXPECT_FALSE(incr::decode_stored_verdict(payload + "extra", out));
     EXPECT_FALSE(incr::decode_stored_verdict("", out));
-}
-
-StoredVerdict sample_verdict(bool secure, uint64_t obligations) {
-    StoredVerdict v;
-    v.secure = secure;
-    v.obligations = obligations;
-    v.failed = secure ? 0 : 1;
-    v.diagnostics = secure ? "" : "some diagnostic\n";
-    return v;
-}
-
-/// Byte-compare two store trees: every verdict and obligation file.
-void expect_stores_identical(const std::string& a, const std::string& b) {
-    auto slurp = [](const fs::path& p) {
-        std::string text;
-        EXPECT_TRUE(read_file(p.string(), text)) << p;
-        return text;
-    };
-    auto table_files = [](const std::string& root, const char* table) {
-        std::vector<fs::path> rel;
-        fs::path base = fs::path(root) / "v2" / table;
-        if (fs::exists(base))
-            for (const auto& e : fs::recursive_directory_iterator(base))
-                if (e.is_regular_file())
-                    rel.push_back(fs::relative(e.path(), base));
-        std::sort(rel.begin(), rel.end());
-        return rel;
-    };
-    for (const char* table : {"verdicts", "obligations"}) {
-        auto fa = table_files(a, table);
-        ASSERT_EQ(fa, table_files(b, table)) << table;
-        for (const auto& rel : fa)
-            EXPECT_EQ(slurp(fs::path(a) / "v2" / table / rel),
-                      slurp(fs::path(b) / "v2" / table / rel))
-                << table << "/" << rel;
-    }
-}
-
-TEST_F(IncrTest, MergeDedupsIdenticalFingerprints) {
-    std::string a_dir = (dir_ / "a").string();
-    std::string b_dir = (dir_ / "b").string();
-    ArtifactStore a({a_dir}), b({b_dir});
-    std::string error;
-    ASSERT_TRUE(a.open(error)) << error;
-    ASSERT_TRUE(b.open(error)) << error;
-
-    std::string fp1 = sha256_hex("one"), fp2 = sha256_hex("two"),
-                fp3 = sha256_hex("three");
-    ASSERT_TRUE(a.store_verdict(fp1, sample_verdict(true, 3)));
-    ASSERT_TRUE(a.store_verdict(fp2, sample_verdict(false, 5)));
-    ASSERT_TRUE(b.store_verdict(fp2, sample_verdict(false, 5)));
-    ASSERT_TRUE(b.store_verdict(fp3, sample_verdict(true, 7)));
-
-    auto stats = a.merge_from(b_dir, error);
-    ASSERT_TRUE(stats.has_value()) << error;
-    EXPECT_EQ(stats->verdicts_added, 1u);
-    EXPECT_EQ(stats->verdicts_present, 1u);
-    EXPECT_EQ(stats->corrupt_skipped, 0u);
-
-    EXPECT_TRUE(a.has_verdict(fp1));
-    EXPECT_TRUE(a.has_verdict(fp2));
-    EXPECT_TRUE(a.has_verdict(fp3));
-    EXPECT_EQ(a.list_verdicts().size(), 3u);
-
-    // A missing peer is the one hard error.
-    EXPECT_FALSE(a.merge_from((dir_ / "nope").string(), error).has_value());
-    EXPECT_FALSE(error.empty());
-}
-
-TEST_F(IncrTest, MergeToleratesCorruptPeerEntry) {
-    std::string a_dir = (dir_ / "a").string();
-    std::string b_dir = (dir_ / "b").string();
-    ArtifactStore a({a_dir}), b({b_dir});
-    std::string error;
-    ASSERT_TRUE(a.open(error)) << error;
-    ASSERT_TRUE(b.open(error)) << error;
-
-    std::string good = sha256_hex("good"), bad = sha256_hex("bad");
-    ASSERT_TRUE(b.store_verdict(good, sample_verdict(true, 1)));
-    ASSERT_TRUE(b.store_verdict(bad, sample_verdict(false, 2)));
-
-    fs::path bad_file = fs::path(b_dir) / "v2" / "verdicts" /
-                        bad.substr(0, 2) / bad;
-    ASSERT_TRUE(fs::exists(bad_file));
-    {
-        std::fstream f(bad_file,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekp(static_cast<std::streamoff>(
-            std::string(incr::kStoreFormat).size() + 10));
-        f.put('X');
-    }
-
-    auto stats = a.merge_from(b_dir, error);
-    ASSERT_TRUE(stats.has_value()) << error;
-    EXPECT_EQ(stats->verdicts_added, 1u);
-    EXPECT_EQ(stats->corrupt_skipped, 1u);
-    EXPECT_TRUE(a.has_verdict(good));
-    EXPECT_FALSE(a.has_verdict(bad));
-    // The peer is read-only input: its corrupt file must survive (the
-    // peer's own next load will deal with it).
-    EXPECT_TRUE(fs::exists(bad_file));
-}
-
-TEST_F(IncrTest, MergeIsByteDeterministicAcrossOrders) {
-    // Two targets, the same two peers merged in opposite orders: the
-    // resulting store trees must be byte-identical (canonical record
-    // encodings, content-addressed file names).
-    std::string p1_dir = (dir_ / "p1").string();
-    std::string p2_dir = (dir_ / "p2").string();
-    ArtifactStore p1({p1_dir}), p2({p2_dir});
-    std::string error;
-    ASSERT_TRUE(p1.open(error)) << error;
-    ASSERT_TRUE(p2.open(error)) << error;
-
-    std::string fp1 = sha256_hex("j1"), fp2 = sha256_hex("j2"),
-                fp_shared = sha256_hex("shared");
-    ASSERT_TRUE(p1.store_verdict(fp1, sample_verdict(true, 2)));
-    ASSERT_TRUE(p1.store_verdict(fp_shared, sample_verdict(false, 9)));
-    ASSERT_TRUE(p2.store_verdict(fp2, sample_verdict(true, 4)));
-    ASSERT_TRUE(p2.store_verdict(fp_shared, sample_verdict(false, 9)));
-    incr::StoredObligation proven;
-    proven.proven = true;
-    incr::StoredObligation refuted;
-    refuted.rhs_level = 1;
-    refuted.witness.push_back({2, false, 5});
-    ASSERT_TRUE(p1.store_obligation(sha256_hex("o1"), proven));
-    ASSERT_TRUE(p2.store_obligation(sha256_hex("o2"), refuted));
-    ASSERT_TRUE(p2.store_obligation(sha256_hex("o1"), proven));
-
-    std::string x_dir = (dir_ / "x").string();
-    std::string y_dir = (dir_ / "y").string();
-    ArtifactStore x({x_dir}), y({y_dir});
-    ASSERT_TRUE(x.open(error)) << error;
-    ASSERT_TRUE(y.open(error)) << error;
-
-    ASSERT_TRUE(x.merge_from(p1_dir, error).has_value()) << error;
-    ASSERT_TRUE(x.merge_from(p2_dir, error).has_value()) << error;
-    ASSERT_TRUE(y.merge_from(p2_dir, error).has_value()) << error;
-    ASSERT_TRUE(y.merge_from(p1_dir, error).has_value()) << error;
-
-    expect_stores_identical(x_dir, y_dir);
-    EXPECT_EQ(x.list_verdicts().size(), 3u);
-    EXPECT_EQ(x.list_obligations().size(), 2u);
 }
 
 // --- obligation records (v2) -----------------------------------------------
@@ -470,7 +318,7 @@ TEST(IncrCodec, StoredObligationRoundTripsAndFailsClosed) {
     EXPECT_EQ(out.witness[0].value, 0x2au);
     EXPECT_EQ(out.witness[1].var, 0u);
     EXPECT_TRUE(out.witness[1].primed);
-    // Equal records encode to equal bytes (the merge/wire invariant).
+    // Equal records encode to equal bytes (the store's file payloads).
     EXPECT_EQ(payload, incr::encode_stored_obligation(out));
 
     incr::StoredObligation proven;
@@ -494,7 +342,6 @@ TEST_F(IncrTest, ObligationStoreRoundTripAndCorruptionDiscard) {
 
     std::string fp = sha256_hex("an obligation");
     EXPECT_FALSE(store.load_obligation(fp).has_value());
-    EXPECT_FALSE(store.has_obligation(fp));
 
     incr::StoredObligation o;
     o.proven = false;
@@ -502,7 +349,6 @@ TEST_F(IncrTest, ObligationStoreRoundTripAndCorruptionDiscard) {
     o.rhs_level = 0;
     o.witness.push_back({2, true, 7u});
     ASSERT_TRUE(store.store_obligation(fp, o));
-    EXPECT_TRUE(store.has_obligation(fp));
     auto got = store.load_obligation(fp);
     ASSERT_TRUE(got.has_value());
     EXPECT_FALSE(got->proven);
@@ -532,30 +378,6 @@ TEST_F(IncrTest, ObligationStoreRoundTripAndCorruptionDiscard) {
     EXPECT_FALSE(store.load_obligation(fp).has_value());
     EXPECT_EQ(store.stats().corrupt_discarded, 1u);
     EXPECT_FALSE(fs::exists(file));
-}
-
-TEST_F(IncrTest, MergeCarriesObligationRecords) {
-    std::string a_dir = (dir_ / "a").string();
-    std::string b_dir = (dir_ / "b").string();
-    ArtifactStore a({a_dir}), b({b_dir});
-    std::string error;
-    ASSERT_TRUE(a.open(error)) << error;
-    ASSERT_TRUE(b.open(error)) << error;
-
-    std::string shared = sha256_hex("shared-ob"),
-                only_b = sha256_hex("b-only-ob");
-    incr::StoredObligation o;
-    o.proven = true;
-    ASSERT_TRUE(a.store_obligation(shared, o));
-    ASSERT_TRUE(b.store_obligation(shared, o));
-    ASSERT_TRUE(b.store_obligation(only_b, o));
-
-    auto stats = a.merge_from(b_dir, error);
-    ASSERT_TRUE(stats.has_value()) << error;
-    EXPECT_EQ(stats->obligations_added, 1u);
-    EXPECT_EQ(stats->obligations_present, 1u);
-    EXPECT_TRUE(a.has_obligation(only_b));
-    EXPECT_EQ(a.list_obligations().size(), 2u);
 }
 
 TEST_F(IncrTest, LegacyV1StoreIsDiscardedWholesale) {
@@ -688,22 +510,10 @@ TEST_F(IncrTest, StoreWithEntailCacheFromOlderBuildStaysWarm) {
               replay.results[0].obligations);
     EXPECT_EQ(replay.results[0].obligations_solved, 0u);
 
-    // The stale file is never read, rewritten or deleted...
+    // The stale file is never read, rewritten or deleted.
     std::string after;
     ASSERT_TRUE(read_file((fs::path(store_dir()) / entail).string(), after));
     EXPECT_EQ(after, entail_bytes);
-
-    // ...and a merge takes the records and leaves the file behind.
-    std::string merged_dir = (dir_ / "merged").string();
-    ArtifactStore merged({merged_dir});
-    std::string error;
-    ASSERT_TRUE(merged.open(error)) << error;
-    auto stats = merged.merge_from(fixture.string(), error);
-    ASSERT_TRUE(stats.has_value()) << error;
-    EXPECT_EQ(stats->verdicts_added, jobs.size());
-    EXPECT_GT(stats->obligations_added, 0u);
-    EXPECT_EQ(stats->corrupt_skipped, 0u);
-    EXPECT_FALSE(fs::exists(fs::path(merged_dir) / entail));
 }
 
 TEST_F(IncrTest, OneNetLabelEditResolvesOnlyDependentSlice) {

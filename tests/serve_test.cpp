@@ -11,8 +11,10 @@
 //   * a session miss solves: the daemon writes job verdicts through to
 //     its store but never obligation records,
 //   * graceful shutdown flushes the store so a later cold
-//     `svlc batch --store` warm-skips, and
-//   * --idle-timeout exits on its own.
+//     `svlc batch --store` warm-skips,
+//   * --idle-timeout exits on its own, and
+//   * oversized, malformed and half-sent frames are refused or dropped
+//     without disturbing other clients.
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -20,6 +22,7 @@
 #include "incr/store.hpp"
 #include "pipeline/compilation.hpp"
 #include "support/fsutil.hpp"
+#include "support/net.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <unistd.h>
 
 #ifndef SVLC_HDL_DIR
@@ -503,6 +507,72 @@ TEST(Serve, ProtocolErrors) {
     // The connection survives both errors.
     JsonValue status = call_ok(*client, "status", JsonValue::object());
     EXPECT_EQ(status.get_string("schema"), "svlc-serve/v2");
+}
+
+TEST(Serve, HostileFramesAreRefusedWithoutHurtingPeers) {
+    TestServer ts(test_options(unique_socket("hostile")));
+    ASSERT_TRUE(ts.start());
+    const std::string& socket = ts.server.socket_path();
+    std::string error;
+    auto good = Client::connect(socket, error);
+    ASSERT_TRUE(good.has_value()) << error;
+    auto stat = [&](const char* key) {
+        return call_ok(*good, "status", JsonValue::object())
+            .find("stats")
+            ->get_uint(key);
+    };
+    uint64_t errors_before = stat("protocol_errors");
+
+    // Half a frame, left open: the daemon keeps serving other clients
+    // while this one's body never arrives, then drops it on close
+    // without counting a protocol error.
+    auto half = net::UnixStream::connect(socket, error);
+    ASSERT_TRUE(half.has_value()) << error;
+    ASSERT_TRUE(half->send_all("Content-Length: 100\r\n\r\n{\"jsonrpc\"",
+                               error))
+        << error;
+    // Verify only once the daemon has accepted the half-open client.
+    for (int i = 0; i < 500 && stat("connections") < 2; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(call_ok(*good, "verify", verify_params("a.svlc", kSecureSrc))
+                  .get_string("status"),
+              "secure");
+    half->close();
+
+    // An oversized and a malformed header: each gets one
+    // kErrInvalidRequest reply, then the daemon closes the connection.
+    auto expect_refused = [&](const std::string& header) {
+        auto raw = net::UnixStream::connect(socket, error);
+        ASSERT_TRUE(raw.has_value()) << error;
+        ASSERT_TRUE(raw->send_all(header, error)) << error;
+        // Bounded waits, so a daemon that neither answers nor closes
+        // fails the test instead of hanging it.
+        pollfd pfd{raw->fd(), POLLIN, 0};
+        ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "no reply";
+        net::FrameBuffer fb;
+        std::string payload;
+        ASSERT_TRUE(net::read_frame(*raw, fb, payload, error)) << error;
+        // The reply carries `"id": null` (no request id was read), so it
+        // is checked as plain JSON.
+        JsonValue reply;
+        ASSERT_TRUE(JsonReader::parse(payload, reply, error)) << error;
+        ASSERT_NE(reply.find("id"), nullptr);
+        EXPECT_TRUE(reply.find("id")->is_null());
+        ASSERT_NE(reply.find("error"), nullptr);
+        EXPECT_EQ(reply.find("error")->find("code")->int_val(),
+                  serve::kErrInvalidRequest);
+        ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "connection left open";
+        std::string rest;
+        EXPECT_EQ(raw->read_some(rest), 0);
+    };
+    expect_refused("Content-Length: " +
+                   std::to_string(net::kMaxFramePayload + 1) + "\r\n\r\n");
+    expect_refused("Content-Length: twelve\r\n\r\n");
+
+    EXPECT_EQ(stat("protocol_errors"), errors_before + 2);
+    EXPECT_EQ(call_ok(*good, "verify", verify_params("b.svlc", kRejectedSrc))
+                  .get_string("status"),
+              "rejected");
 }
 
 } // namespace

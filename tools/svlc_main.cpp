@@ -7,11 +7,6 @@
 //              [--classic] [--no-hold]
 //   svlc client --socket PATH [--retry N] [--backoff MS]
 //              <method> [params-json]
-//   svlc coordinator --socket PATH <manifest|dir|file.svlc|builtin:V>
-//              [--cpus] [--store DIR] [--json F] [--timeout-ms T]
-//              [--lease-ms T] [--backoff-ms T] [--classic] [--no-hold]
-//   svlc worker --connect PATH [--store DIR] [--name S] [--retry N]
-//              [--backoff MS]
 //   svlc emit-verilog <file.svlc> [--top M] [--compat]
 //   svlc sim <file.svlc> [--top M] --cycles N [--set in=val]...
 //            [--vcd out.vcd] [--watch net]...
@@ -33,8 +28,6 @@
 // owns flag parsing and rendering, never phase plumbing.
 #include "check/typecheck.hpp"
 #include "codegen/verilog.hpp"
-#include "dist/coordinator.hpp"
-#include "dist/worker.hpp"
 #include "driver/driver.hpp"
 #include "driver/watch.hpp"
 #include "fuzz/reducer.hpp"
@@ -84,13 +77,6 @@ int usage() {
                  "             [--classic] [--no-hold]\n"
                  "  svlc client --socket PATH [--retry N] [--backoff MS]\n"
                  "             <method> [params-json]\n"
-                 "  svlc coordinator --socket PATH\n"
-                 "             <manifest|dir|file.svlc|builtin:V> [--cpus]\n"
-                 "             [--store DIR] [--json out.json] [--timeout-ms T]\n"
-                 "             [--lease-ms T] [--backoff-ms T] [--classic]\n"
-                 "             [--no-hold]\n"
-                 "  svlc worker --connect PATH [--store DIR] [--name S]\n"
-                 "             [--retry N] [--backoff MS]\n"
                  "  svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N]\n"
                  "             [--json out.json] [--timeout-ms T] [--cpus]\n"
                  "             [--classic] [--no-hold] [--store DIR] [--no-store]\n"
@@ -146,20 +132,15 @@ struct Args {
     // watch
     uint64_t interval_ms = 500;
     uint64_t iterations = 0;
-    // check --remote / serve / client / coordinator / worker
+    // check --remote / serve / client
     std::string socket_path;
     uint64_t max_sessions = 16;
     uint64_t idle_timeout_sec = 0;
     std::string client_method;
     std::string client_params = "{}";
-    // client / worker / check --remote reconnect policy
+    // client / check --remote reconnect policy
     uint64_t retry_attempts = 0;
     uint64_t retry_backoff_ms = 100;
-    // coordinator
-    uint64_t lease_ms = 120000;
-    uint64_t coord_backoff_ms = 250;
-    // worker
-    std::string worker_name;
     // fuzz / reduce
     uint64_t fuzz_seed = 1;
     uint64_t fuzz_count = 100;
@@ -255,81 +236,6 @@ bool parse_args(int argc, char** argv, Args& args) {
         if (args.socket_path.empty() || args.client_method.empty()) {
             std::fprintf(stderr,
                          "client: --socket PATH and a method are required\n");
-            return false;
-        }
-        return true;
-    }
-    if (args.command == "coordinator") {
-        // One positional target (anywhere), the rest are flags.
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> const char* {
-                return i + 1 < argc ? argv[++i] : nullptr;
-            };
-            const char* v = nullptr;
-            if (arg == "--socket" && (v = next()))
-                args.socket_path = v;
-            else if (arg == "--store" && (v = next()))
-                args.store_dir = v;
-            else if (arg == "--json" && (v = next()))
-                args.json_path = v;
-            else if (arg == "--timeout-ms" && (v = next()))
-                args.timeout_ms = std::strtoull(v, nullptr, 0);
-            else if (arg == "--lease-ms" && (v = next()))
-                args.lease_ms = std::strtoull(v, nullptr, 0);
-            else if (arg == "--backoff-ms" && (v = next()))
-                args.coord_backoff_ms = std::strtoull(v, nullptr, 0);
-            else if (arg == "--cpus")
-                args.cpus = true;
-            else if (arg == "--classic")
-                args.classic = true;
-            else if (arg == "--no-hold")
-                args.no_hold = true;
-            else if (arg.rfind("--", 0) != 0 && args.file.empty()) {
-                args.file = arg;
-            } else {
-                std::fprintf(stderr, "coordinator: unknown option '%s'\n",
-                             arg.c_str());
-                return false;
-            }
-        }
-        if (args.socket_path.empty()) {
-            std::fprintf(stderr, "coordinator: --socket PATH is required\n");
-            return false;
-        }
-        if (args.file.empty() && !args.cpus) {
-            std::fprintf(stderr,
-                         "coordinator: a target (or --cpus) is required\n");
-            return false;
-        }
-        return true;
-    }
-    if (args.command == "worker") {
-        // No positional argument; everything is a flag.
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> const char* {
-                return i + 1 < argc ? argv[++i] : nullptr;
-            };
-            const char* v = nullptr;
-            if (arg == "--connect" && (v = next()))
-                args.socket_path = v;
-            else if (arg == "--store" && (v = next()))
-                args.store_dir = v;
-            else if (arg == "--name" && (v = next()))
-                args.worker_name = v;
-            else if (arg == "--retry" && (v = next()))
-                args.retry_attempts = std::strtoull(v, nullptr, 0);
-            else if (arg == "--backoff" && (v = next()))
-                args.retry_backoff_ms = std::strtoull(v, nullptr, 0);
-            else {
-                std::fprintf(stderr, "worker: unknown option '%s'\n",
-                             arg.c_str());
-                return false;
-            }
-        }
-        if (args.socket_path.empty()) {
-            std::fprintf(stderr, "worker: --connect PATH is required\n");
             return false;
         }
         return true;
@@ -559,7 +465,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     return true;
 }
 
-/// Reconnect policy shared by client/worker/check --remote.
+/// Reconnect policy shared by client and check --remote.
 net::RetryOptions retry_options(const Args& args) {
     net::RetryOptions retry;
     retry.attempts = static_cast<int>(args.retry_attempts);
@@ -725,102 +631,6 @@ int cmd_client(const Args& args) {
         return 1;
     }
     std::printf("%s\n", response.result.dump(2).c_str());
-    return 0;
-}
-
-int cmd_coordinator(const Args& args) {
-    std::vector<driver::JobSpec> jobs;
-    std::string error;
-    if (!args.file.empty() && !driver::collect_jobs(args.file, jobs, error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-    }
-    if (args.cpus) {
-        auto cpu_jobs = driver::builtin_cpu_jobs();
-        jobs.insert(jobs.end(), std::make_move_iterator(cpu_jobs.begin()),
-                    std::make_move_iterator(cpu_jobs.end()));
-    }
-
-    dist::CoordinatorOptions opts;
-    opts.socket_path = args.socket_path;
-    if (!args.no_store)
-        opts.store_dir = args.store_dir;
-    opts.timeout_ms = args.timeout_ms;
-    if (args.lease_ms)
-        opts.lease_ms = args.lease_ms;
-    if (args.coord_backoff_ms)
-        opts.backoff_ms = args.coord_backoff_ms;
-    opts.check = check_options(args);
-
-    size_t job_count = jobs.size();
-    dist::Coordinator coord(std::move(opts), std::move(jobs));
-    if (!coord.start(error)) {
-        std::fprintf(stderr, "svlc coordinator: %s\n", error.c_str());
-        return 2;
-    }
-    std::fprintf(stderr, "svlc coordinator: serving %zu job(s) on %s\n",
-                 job_count, coord.socket_path().c_str());
-    driver::BatchReport report = coord.run();
-
-    // Same split as `svlc batch`: the deterministic verdict summary on
-    // stdout (diffable against a single-process run), telemetry on
-    // stderr and in the JSON report.
-    std::fputs(report.summary().c_str(), stdout);
-    const dist::CoordinatorStats& st = coord.stats();
-    std::fprintf(
-        stderr,
-        "coordinator wall %.1f ms, %llu worker(s); %llu lease(s) issued, "
-        "%llu expired, %llu reclaimed, %llu steal(s), %llu duplicate "
-        "result(s), %llu store skip(s)\n",
-        report.wall_ms,
-        static_cast<unsigned long long>(st.workers_registered),
-        static_cast<unsigned long long>(st.leases_issued),
-        static_cast<unsigned long long>(st.leases_expired),
-        static_cast<unsigned long long>(st.leases_reclaimed),
-        static_cast<unsigned long long>(st.steals),
-        static_cast<unsigned long long>(st.duplicate_results),
-        static_cast<unsigned long long>(st.store_skips));
-    for (const dist::WorkerSummary& w : coord.worker_summaries())
-        std::fprintf(stderr,
-                     "coordinator worker %s: %llu lease(s), %llu result(s) "
-                     "accepted\n",
-                     w.name.c_str(), static_cast<unsigned long long>(w.leases),
-                     static_cast<unsigned long long>(w.results));
-    if (!args.json_path.empty()) {
-        std::ofstream out(args.json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         args.json_path.c_str());
-            return 2;
-        }
-        out << report.to_json(true);
-        std::fprintf(stderr, "wrote %s\n", args.json_path.c_str());
-    }
-    return report.all_ran() ? 0 : 1;
-}
-
-int cmd_worker(const Args& args) {
-    dist::WorkerOptions opts;
-    opts.socket_path = args.socket_path;
-    opts.store_dir = args.store_dir;
-    opts.name = args.worker_name;
-    opts.retry = retry_options(args);
-    dist::Worker worker(std::move(opts));
-    std::string error;
-    if (!worker.run(error)) {
-        std::fprintf(stderr, "svlc worker: %s\n", error.c_str());
-        return 2;
-    }
-    const dist::WorkerStats& st = worker.stats();
-    std::fprintf(
-        stderr,
-        "svlc worker: %llu lease(s), %llu verified, %llu store hit(s), "
-        "%llu verdict(s) + %llu obligation record(s) pushed\n",
-        static_cast<unsigned long long>(st.leases),
-        static_cast<unsigned long long>(st.verified),
-        static_cast<unsigned long long>(st.store_hits),
-        static_cast<unsigned long long>(st.pushed_verdicts),
-        static_cast<unsigned long long>(st.pushed_obligations));
     return 0;
 }
 
@@ -1313,10 +1123,6 @@ int dispatch(const Args& args) {
         return cmd_serve(args);
     if (args.command == "client")
         return cmd_client(args);
-    if (args.command == "coordinator")
-        return cmd_coordinator(args);
-    if (args.command == "worker")
-        return cmd_worker(args);
     if (args.command == "batch")
         return cmd_batch(args);
     if (args.command == "watch")
